@@ -10,7 +10,8 @@
 //! `scripts/bless.sh` after an *intentional* output change.
 
 use crate::{
-    ablation_percentiles, fig2, fig4, fig5, fountain_matrix, headline, table2, Effort, Table,
+    ablation_percentiles, chaos_matrix, fault_matrix, fig2, fig4, fig5, fountain_matrix, headline,
+    table2, Effort, Table,
 };
 
 /// The fixed effort every golden figure is generated at — small enough for
@@ -35,6 +36,8 @@ pub fn golden_figures() -> Vec<(&'static str, Table)> {
         ("headline", headline()),
         ("ablation_d_percentiles", ablation_percentiles()),
         ("fountain_matrix", fountain_matrix(effort).0),
+        ("fault_matrix", fault_matrix(effort).0),
+        ("chaos_matrix", chaos_matrix(effort).0),
     ]
 }
 
