@@ -11,8 +11,8 @@
 //!   of received packets. The matrix reports p50/p95/max recovery time per
 //!   cell and fails if any episode (or a still-open tail) exceeds the
 //!   bound.
-//! * **Adaptive ≥ fixed RTO** — the TCP harness replays the *same* loss
-//!   trace through the fixed-RTO biller and the Jacobson/Karn
+//! * **Adaptive ≥ fixed RTO** — the TCP rows replay the *same* loss
+//!   trace ([`thrifty_sim::tcp::TcpOutcome::trace`]) through the fixed-RTO biller and the Jacobson/Karn
 //!   [`RtoEstimator`] (capped at the fixed value, floored at the wire
 //!   RTT), so the adaptive transport's goodput can never trail the fixed
 //!   baseline, and in the deep fade it must strictly beat it.
@@ -23,43 +23,34 @@
 //!   analytic long-run loss rate.
 //!
 //! Every cell also re-runs from the same seed (bit-identity gate) and runs
-//! a lossless clean twin (ΔPSNR gate: storms only remove quality). The
-//! `reproduce chaos` subcommand prints the matrix, records it to
-//! `BENCH_recover.json`, and exits nonzero on any violation.
+//! a lossless clean twin (ΔPSNR gate: storms only remove quality), both
+//! through the shared [`crate::matrix`] harness. The `reproduce chaos`
+//! subcommand prints the matrix, records it to `BENCH_recover.json`, and
+//! exits nonzero on any violation.
+//!
+//! A storm's fault plan reaches only the RTP/UDP rows. The HTTP/TCP (and
+//! fountain) rows see only the storm's loss channel, not its fault plan,
+//! so their stale-key and corruption sites stay unarmed. The committed
+//! golden vectors pin this behaviour, so it is kept as is; arming the plan
+//! on the TCP rows is left for a follow-up.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
-use thrifty_analytic::fountain::{FountainChannel, FountainDelayModel, DEFAULT_PEELING_MARGIN};
 use thrifty_analytic::policy::{EncryptionMode, Policy};
 use thrifty_crypto::Algorithm;
 use thrifty_faults::{FaultPlan, Region};
-use thrifty_net::tcp::TcpSegment;
-use thrifty_net::wire::{FragmentHeader, FRAG_HEADER_LEN, RTP_HEADER_LEN};
-use thrifty_net::{BernoulliChannel, GilbertElliottChannel, LossChannel, UDP_IP_OVERHEAD};
+use thrifty_net::LossChannel;
 use thrifty_recover::{
-    ControllerConfig, DegradationController, PolicyRung, RecoveryReport, RtoConfig, RtoEstimator,
+    ControllerConfig, DegradationController, PolicyRung, RtoConfig, RtoEstimator,
 };
-use thrifty_sim::fountain::{run_pipeline_fountain_metered, FountainConfig};
-use thrifty_sim::pipeline::{
-    run_pipeline_faulty, AirChannel, InputFrame, PipelineConfig, RecoveryOptions,
-};
-use thrifty_telemetry::MetricsRegistry;
-use thrifty_video::nal::{parse_annex_b, write_annex_b};
-use thrifty_video::scene::{SceneConfig, SceneGenerator};
-use thrifty_video::MotionLevel;
+use thrifty_sim::pipeline::{InputFrame, PipelineConfig, RecoveryOptions};
 
-use crate::fountain::{
-    annex_b_len, block_symbols, concealed_psnr, delivered_media_bytes, stream, EitherChannel,
-    ProtocolKind, SYMBOL_LEN,
+use crate::matrix::{
+    annex_b_len, cell_seed, self_checked, Cell, LossPoint, ProtocolKind, Transfer, Workload, GOP,
+    PHY_RATE_BPS,
 };
-use crate::parallel::par_map;
-use crate::{CellMetrics, Effort, FigureMetrics, Row, Table};
+use crate::{Effort, FigureMetrics, Row, Table};
 
-/// GOP structure of the soak clip (matches [`crate::fountain::stream`]).
-const GOP: usize = 10;
-/// IP header the TCP segments ride in.
-const IP_HEADER_LEN: usize = 20;
 /// The fixed-RTO baseline the adaptive estimator is raced against, and the
 /// adaptive estimator's initial/ceiling value — so the adaptive transport
 /// starts from the baseline and earns its advantage from RTT samples.
@@ -69,12 +60,8 @@ const MIN_RTO_S: f64 = 0.002;
 /// Base propagation+processing RTT fed to the estimator on clean
 /// deliveries, on top of the segment's own air time.
 const BASE_RTT_S: f64 = 0.002;
-/// 802.11g air rate the goodput clock runs at, bits per second.
-const PHY_RATE_BPS: f64 = 54e6;
 /// Re-key handshake length (received packets) for the resync protocol.
 const HANDSHAKE_PACKETS: u64 = 8;
-/// Analytic decode-failure target for the fountain's per-storm ε.
-const DECODE_FAILURE_TARGET: f64 = 0.02;
 /// Packets per controller observation window. Long enough that several
 /// Gilbert–Elliott dwell cycles average inside one window, so the EWMA
 /// tracks the long-run loss rate instead of per-dwell noise.
@@ -127,28 +114,12 @@ impl StormClass {
         }
     }
 
-    /// The air channel the storm rides on.
-    fn air(self) -> (f64, AirChannel) {
+    /// The channel operating point the storm rides on.
+    fn point(self) -> LossPoint {
         match self {
-            StormClass::KeyRotation | StormClass::Overflow => (0.02, AirChannel::Iid),
-            StormClass::DeepFade => (
-                0.0,
-                AirChannel::Burst {
-                    p_gb: 0.05,
-                    p_bg: 0.08,
-                    good_success: 0.995,
-                    bad_success: 0.05,
-                },
-            ),
-            StormClass::Gauntlet => (
-                0.0,
-                AirChannel::Burst {
-                    p_gb: 0.03,
-                    p_bg: 0.3,
-                    good_success: 0.995,
-                    bad_success: 0.6,
-                },
-            ),
+            StormClass::KeyRotation | StormClass::Overflow => LossPoint::Iid,
+            StormClass::DeepFade => LossPoint::DeepFade,
+            StormClass::Gauntlet => LossPoint::Burst,
         }
     }
 
@@ -165,378 +136,62 @@ impl StormClass {
         }
     }
 
-    /// The matching [`LossChannel`] for the TCP harness and the controller
-    /// soak.
-    fn loss_channel(self) -> EitherChannel {
-        match self.air() {
-            (loss, AirChannel::Iid) => EitherChannel::Iid(BernoulliChannel::new(1.0 - loss)),
-            (
-                _,
-                AirChannel::Burst {
-                    p_gb,
-                    p_bg,
-                    good_success,
-                    bad_success,
-                },
-            ) => EitherChannel::Burst(GilbertElliottChannel::new(
-                p_gb,
-                p_bg,
-                good_success,
-                bad_success,
-            )),
-        }
-    }
-
-    /// The analytic per-symbol delivery process (for the fountain's ε and
-    /// the controller's stable-rung check).
-    fn analytic(self) -> FountainChannel {
-        match self.air() {
-            (loss, AirChannel::Iid) => FountainChannel::Iid { loss },
-            (
-                _,
-                AirChannel::Burst {
-                    p_gb,
-                    p_bg,
-                    good_success,
-                    bad_success,
-                },
-            ) => FountainChannel::Burst {
-                p_gb,
-                p_bg,
-                good_success,
-                bad_success,
-            },
-        }
-    }
-
     /// Long-run packet-loss rate of the storm's channel.
     fn analytic_loss(self) -> f64 {
-        1.0 - self.loss_channel().success_rate()
+        1.0 - self.point().loss_channel().success_rate()
     }
 }
 
-/// Smallest grid ε whose analytic decode-failure probability at `k`
-/// source symbols drops below [`DECODE_FAILURE_TARGET`] on this storm's
-/// channel (same grid as the fountain matrix).
-fn storm_overhead(storm: StormClass, k: usize) -> f64 {
-    let channel = storm.analytic();
-    for step in 1..=60 {
-        let eps = step as f64 * 0.05;
-        let n = FountainDelayModel::symbols_sent(k, eps);
-        if channel.decode_failure_prob(k, n, DEFAULT_PEELING_MARGIN) <= DECODE_FAILURE_TARGET {
-            return eps;
-        }
-    }
-    3.0
-}
-
-/// Seed for a cell, mixed from its matrix coordinates so no two cells
-/// share RNG streams.
-fn cell_seed(storm: usize, proto: usize) -> u64 {
-    0xC405_2026
-        ^ (storm as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (proto as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-}
-
-/// What one soak cell produced — everything the bit-identity gate
-/// compares and the verification gates consume.
-#[derive(Debug, Clone)]
-struct ChaosRun {
-    /// UDP packets, TCP segments (first copies) or coded symbols.
-    sent: usize,
-    /// Bytes on the air, retransmissions included.
-    bytes_on_air: u64,
-    /// Timeout-driven retransmissions (TCP only; zero elsewhere).
-    timeouts: usize,
-    /// Total sender idle under the fixed-RTO baseline, seconds.
-    stall_fixed_s: f64,
-    /// Total sender idle under the adaptive estimator, seconds — billed
-    /// over the *same* loss trace as the fixed baseline.
-    stall_adaptive_s: f64,
-    /// Per-frame exact-recovery flags, index = frame number.
-    received: Vec<bool>,
-    /// Stale-key resync episodes (empty where the mechanism is idle).
-    resync: RecoveryReport,
-}
-
-impl ChaosRun {
-    fn frames_intact(&self) -> usize {
-        self.received.iter().filter(|&&ok| ok).count()
-    }
-
-    /// Bit-level equality: the determinism gate compares float fields by
-    /// their bit patterns, not tolerances.
-    fn bit_identical(&self, other: &ChaosRun) -> bool {
-        self.sent == other.sent
-            && self.bytes_on_air == other.bytes_on_air
-            && self.timeouts == other.timeouts
-            && self.stall_fixed_s.to_bits() == other.stall_fixed_s.to_bits()
-            && self.stall_adaptive_s.to_bits() == other.stall_adaptive_s.to_bits()
-            && self.received == other.received
-            && self.resync == other.resync
-    }
-
-    /// Delivered media bits per second of transfer time (air time plus the
-    /// given stall budget).
-    fn goodput_mbps(&self, input: &[InputFrame], stall_s: f64) -> f64 {
-        let delivered = delivered_media_bytes(input, &self.received) as f64;
-        let transfer_s = self.bytes_on_air as f64 * 8.0 / PHY_RATE_BPS + stall_s;
-        delivered * 8.0 / transfer_s / 1e6
-    }
-}
-
-/// One RTP/UDP cell: the threaded pipeline with the storm's fault plan and
-/// receiver-side resync armed. Recovery episodes come straight from the
-/// pipeline's [`RecoveryReport`].
-fn run_udp(
-    input: &[InputFrame],
-    storm: StormClass,
-    seed: u64,
-    clean: bool,
-    metrics: &MetricsRegistry,
-) -> ChaosRun {
-    let (loss_prob, channel) = if clean { (0.0, AirChannel::Iid) } else { storm.air() };
-    let plan = if clean { FaultPlan::none(seed) } else { storm.plan(seed) };
-    let config = PipelineConfig {
-        policy: soak_policy(),
-        loss_prob,
-        channel,
-        seed,
+/// One soak cell. The storm's fault plan reaches only the RTP/UDP
+/// pipeline, which also runs with receiver-side resync armed; the HTTP/TCP
+/// and fountain rows see only the storm's loss channel.
+fn storm_cell(storm: StormClass, proto: ProtocolKind, seed: u64) -> Cell {
+    let plan = match proto {
+        ProtocolKind::Udp => storm.plan(seed),
+        ProtocolKind::Tcp | ProtocolKind::Fountain => FaultPlan::none(seed),
+    };
+    Cell {
+        plan,
         recovery: Some(RecoveryOptions {
             handshake_packets: HANDSHAKE_PACKETS,
             gop_hint: GOP,
         }),
-        ..PipelineConfig::default()
-    };
-    let mtu = config.mtu_payload;
-    let out = run_pipeline_faulty(input.to_vec(), config, &plan, metrics)
-        .expect("storm plans carry valid probabilities");
-    let mut received = vec![false; input.len()];
-    for &f in &out.receiver.frames_ok {
-        if f < input.len() {
-            received[f] = true;
-        }
-    }
-    // Media bytes on the air: frames the bounded queue dropped never burn
-    // air; everything else is chunked at the MTU with per-packet headers.
-    let bytes_on_air: u64 = input
-        .iter()
-        .filter(|f| !out.frames_dropped_at_queue.contains(&f.index))
-        .map(|f| {
-            let len = annex_b_len(f);
-            let packets = len.div_ceil(mtu);
-            (len + packets * (RTP_HEADER_LEN + FRAG_HEADER_LEN + UDP_IP_OVERHEAD)) as u64
-        })
-        .sum();
-    ChaosRun {
-        sent: out.packets_sent,
-        bytes_on_air,
-        timeouts: 0,
-        stall_fixed_s: 0.0,
-        stall_adaptive_s: 0.0,
-        received,
-        resync: out.recovery.unwrap_or_default(),
+        ..Cell::new(proto, storm.point(), soak_policy(), seed)
     }
 }
 
-/// One HTTP/TCP cell: segments retransmit until delivered; the loss trace
-/// is recorded per segment and then billed twice — once at the fixed RTO,
-/// once through the Jacobson/Karn estimator (Karn's rule: only segments
-/// that went through on the first attempt contribute RTT samples).
-fn run_tcp(
-    input: &[InputFrame],
-    storm: StormClass,
-    seed: u64,
-    clean: bool,
-    metrics: &MetricsRegistry,
-) -> ChaosRun {
-    let policy = soak_policy();
-    let cipher = thrifty_crypto::SegmentCipher::new(policy.algorithm, &[0x42; 32])
-        .expect("32-byte key fits AES-256");
-    let originals: BTreeMap<usize, Vec<u8>> = input
-        .iter()
-        .map(|f| (f.index, f.nal.payload.clone()))
-        .collect();
-
-    // Producer: per-frame policy draw (same stream discipline as the
-    // RTP/UDP encryptor), then segmentation at 1400 bytes.
-    let mut policy_rng = StdRng::seed_from_u64(seed);
-    let mut wire: Vec<Vec<u8>> = Vec::new();
-    let mut seg_index: u32 = 0;
-    for frame in input {
-        let unit: f64 = rand::Rng::gen_range(&mut policy_rng, 0.0..1.0);
-        let encrypt = policy.mode.should_encrypt(frame.ftype, unit);
-        let annex_b = write_annex_b(std::slice::from_ref(&frame.nal));
-        let chunks: Vec<&[u8]> = annex_b.chunks(1400).collect();
-        let total = chunks.len() as u16;
-        for (i, chunk) in chunks.iter().enumerate() {
-            let mut payload = Vec::with_capacity(FRAG_HEADER_LEN + chunk.len());
-            payload
-                .extend_from_slice(&FragmentHeader::new(frame.index as u32, i as u16, total).emit());
-            payload.extend_from_slice(chunk);
-            if encrypt {
-                cipher.encrypt_segment(seg_index as u64, &mut payload[FRAG_HEADER_LEN..]);
-            }
-            wire.push(
-                TcpSegment {
-                    src_port: 5004,
-                    dst_port: 5004,
-                    seq: seg_index,
-                    ack: 0,
-                    encrypted_marker: encrypt,
-                    payload,
-                }
-                .emit(),
-            );
-            seg_index += 1;
-        }
-    }
-    let sent = wire.len();
-
-    // The channel: one recorded loss trace both RTO disciplines replay.
-    let mut chan = if clean {
-        EitherChannel::Iid(BernoulliChannel::new(1.0))
-    } else {
-        storm.loss_channel()
-    };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7C9);
-    let retransmissions = metrics.counter("net.tcp.retransmissions");
-    let mut bytes_on_air: u64 = 0;
-    let mut trace: Vec<(u32, u64)> = Vec::with_capacity(wire.len());
-    let mut store: BTreeMap<usize, BTreeMap<u16, Vec<u8>>> = BTreeMap::new();
-    let mut totals: BTreeMap<usize, u16> = BTreeMap::new();
-    for segment in wire {
-        let attempt_bytes = (segment.len() + IP_HEADER_LEN) as u64;
-        bytes_on_air += attempt_bytes;
-        let mut fails: u32 = 0;
-        while !chan.transmit(&mut rng) {
-            retransmissions.inc();
-            fails += 1;
-            bytes_on_air += attempt_bytes;
-        }
-        trace.push((fails, attempt_bytes));
-        let Ok(seg) = TcpSegment::parse(&segment) else {
-            continue; // unreachable: we emitted it ourselves
-        };
-        let mut payload = seg.payload;
-        if seg.encrypted_marker {
-            cipher.decrypt_segment(seg.seq as u64, &mut payload[FRAG_HEADER_LEN..]);
-        }
-        let Ok((fh, body)) = FragmentHeader::parse(&payload) else {
-            continue;
-        };
-        totals.insert(fh.frame as usize, fh.total);
-        store
-            .entry(fh.frame as usize)
-            .or_default()
-            .insert(fh.frag, body.to_vec());
-    }
-
-    // Bill the same trace under both disciplines. Fixed: one FIXED_RTO_S
-    // idle per timeout. Adaptive: the estimator's current RTO per timeout
-    // (doubling under backoff, capped at the fixed value), with clean
-    // first-attempt deliveries feeding RTT samples per Karn's rule.
-    let timeouts: usize = trace.iter().map(|&(f, _)| f as usize).sum();
-    let stall_fixed_s = timeouts as f64 * FIXED_RTO_S;
+/// Bill a transfer's TCP loss trace under both RTO disciplines, returning
+/// the total sender idle `(fixed, adaptive)` in seconds. Fixed: one [`FIXED_RTO_S`]
+/// per timeout. Adaptive: the Jacobson/Karn estimator's current RTO per
+/// timeout (doubling under backoff, capped at the fixed value), with clean
+/// first-attempt deliveries feeding RTT samples per Karn's rule.
+fn rto_stalls_s(run: &Transfer) -> (f64, f64) {
     let config = RtoConfig::try_new(FIXED_RTO_S, MIN_RTO_S, FIXED_RTO_S, 6)
         .expect("static estimator bounds are valid");
     let mut estimator = RtoEstimator::new(config);
-    let mut stall_adaptive_s = 0.0;
-    for &(fails, attempt_bytes) in &trace {
+    let mut adaptive_s = 0.0;
+    for &(fails, attempt_bytes) in &run.trace {
         for _ in 0..fails {
-            stall_adaptive_s += estimator.rto_s();
+            adaptive_s += estimator.rto_s();
             estimator.on_timeout();
         }
         if fails == 0 {
             estimator.on_rtt_sample(attempt_bytes as f64 * 8.0 / PHY_RATE_BPS + BASE_RTT_S);
         }
     }
-
-    // Reassembly: a frame is intact iff every fragment arrived and the
-    // concatenation parses back to the original NAL payload byte-for-byte.
-    let mut received = vec![false; input.len()];
-    for (&frame, original) in &originals {
-        let complete = totals.get(&frame).is_some_and(|&total| {
-            store
-                .get(&frame)
-                .is_some_and(|frags| frags.len() == total as usize)
-        });
-        if !complete {
-            continue;
-        }
-        let mut annex_b = Vec::new();
-        for chunk in store[&frame].values() {
-            annex_b.extend_from_slice(chunk);
-        }
-        if let Ok(units) = parse_annex_b(&annex_b) {
-            if units.len() == 1 && &units[0].payload == original {
-                received[frame] = true;
-            }
-        }
-    }
-    ChaosRun {
-        sent,
-        bytes_on_air,
-        timeouts,
-        stall_fixed_s,
-        stall_adaptive_s,
-        received,
-        resync: RecoveryReport::default(),
-    }
+    (run.stalls() as f64 * FIXED_RTO_S, adaptive_s)
 }
 
-/// One fountain cell: the storm only reaches the feedback-free transport
-/// through its channel; undecoded blocks surface as missing frames.
-fn run_fountain(
-    input: &[InputFrame],
-    storm: StormClass,
-    seed: u64,
-    overhead: f64,
-    clean: bool,
-    metrics: &MetricsRegistry,
-) -> ChaosRun {
-    let (loss_prob, channel) = if clean { (0.0, AirChannel::Iid) } else { storm.air() };
-    let config = FountainConfig {
-        policy: soak_policy(),
-        symbol_len: SYMBOL_LEN,
-        overhead,
-        loss_prob,
-        seed,
-        channel,
-    };
-    let out = run_pipeline_fountain_metered(input, &config, metrics)
-        .expect("storm channels and the soak policy are valid");
-    let mut received = vec![false; input.len()];
-    for &f in &out.receiver.frames_ok {
-        if f < input.len() {
-            received[f] = true;
-        }
-    }
-    ChaosRun {
-        sent: out.symbols_sent,
-        bytes_on_air: out.bytes_on_air,
-        timeouts: 0,
-        stall_fixed_s: 0.0,
-        stall_adaptive_s: 0.0,
-        received,
-        resync: RecoveryReport::default(),
-    }
-}
-
-fn run_cell(
-    input: &[InputFrame],
-    storm: StormClass,
-    proto: ProtocolKind,
-    seed: u64,
-    overhead: f64,
-    clean: bool,
-    metrics: &MetricsRegistry,
-) -> ChaosRun {
-    match proto {
-        ProtocolKind::Udp => run_udp(input, storm, seed, clean, metrics),
-        ProtocolKind::Tcp => run_tcp(input, storm, seed, clean, metrics),
-        ProtocolKind::Fountain => run_fountain(input, storm, seed, overhead, clean, metrics),
-    }
+/// The recovery budget in received packets: the re-key handshake plus ten
+/// GOPs of the stream's packets at the pipeline MTU.
+fn recovery_bound(input: &[InputFrame]) -> u64 {
+    let mtu = PipelineConfig::default().mtu_payload;
+    let gop_packets: u64 = input
+        .iter()
+        .take(GOP)
+        .map(|f| annex_b_len(f).div_ceil(mtu) as u64)
+        .sum();
+    HANDSHAKE_PACKETS + 10 * gop_packets
 }
 
 /// What one controller soak produced.
@@ -553,7 +208,7 @@ struct ControllerOutcome {
 /// of [`CONTROLLER_WINDOW`] packets, EWMA-smoothed loss fraction as the
 /// distress signal. Seeded per storm, so two soaks agree bit for bit.
 fn controller_soak(storm: StormClass) -> ControllerOutcome {
-    let mut chan = storm.loss_channel();
+    let mut chan = storm.point().loss_channel();
     let analytic_loss = storm.analytic_loss();
     let si = StormClass::ALL
         .iter()
@@ -599,27 +254,19 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
 /// per-storm controller soak folded into each row.
 ///
 /// Always metered; each cell seeds its own RNGs from its coordinates so
-/// [`par_map`] evaluation cannot perturb a single value and two
-/// invocations agree bit for bit.
+/// parallel evaluation cannot perturb a single value and two invocations
+/// agree bit for bit.
 pub fn chaos_matrix(effort: Effort) -> (Table, FigureMetrics) {
-    let frames = effort.frames.clamp(40, 120);
-    let clip = SceneGenerator::new(SceneConfig::qcif(MotionLevel::High, 7)).clip(frames);
-    let input = stream(frames);
-    let k = block_symbols(&input);
+    let work = Workload::new(effort);
+    let k = work.block_symbols();
     let overheads: Vec<f64> = StormClass::ALL
         .iter()
-        .map(|&storm| storm_overhead(storm, k))
+        .map(|storm| storm.point().overhead(k))
         .collect();
     // Recovery budget: the handshake plus ten GOPs of received packets —
     // far above a healthy episode (one handshake + at most a few GOPs to
     // the next intact I-frame) but far below "never recovered".
-    let mtu = PipelineConfig::default().mtu_payload;
-    let gop_packets: u64 = input
-        .iter()
-        .take(GOP)
-        .map(|f| annex_b_len(f).div_ceil(mtu) as u64)
-        .sum();
-    let bound = HANDSHAKE_PACKETS + 10 * gop_packets;
+    let bound = recovery_bound(&work.input);
     let controllers: Vec<ControllerOutcome> = StormClass::ALL
         .iter()
         .map(|&storm| controller_soak(storm))
@@ -628,86 +275,64 @@ pub fn chaos_matrix(effort: Effort) -> (Table, FigureMetrics) {
     let mut cells = Vec::new();
     for (si, storm) in StormClass::ALL.into_iter().enumerate() {
         for (pi, proto) in ProtocolKind::ALL.into_iter().enumerate() {
-            cells.push((storm, si, proto, cell_seed(si, pi), overheads[si]));
+            let cell = Cell {
+                overhead: overheads[si],
+                ..storm_cell(storm, proto, cell_seed(0xC405_2026, [si, pi, 0]))
+            };
+            cells.push((cell, (storm, controllers[si])));
         }
     }
-    let results = par_map(&cells, |&(storm, si, proto, seed, overhead)| {
-        let metrics = MetricsRegistry::enabled();
-        let run = run_cell(&input, storm, proto, seed, overhead, false, &metrics);
-        // Determinism gate: same seed, fresh registry → bit-identical run.
-        let rerun = run_cell(
-            &input,
-            storm,
-            proto,
-            seed,
-            overhead,
-            false,
-            &MetricsRegistry::enabled(),
-        );
-        let reproducible = run.bit_identical(&rerun);
-        // Degradation gate: the lossless, fault-free twin bounds quality.
-        let clean = run_cell(
-            &input,
-            storm,
-            proto,
-            seed,
-            overhead,
-            true,
-            &MetricsRegistry::disabled(),
-        );
-        let psnr = concealed_psnr(&clip, &run.received);
-        let clean_psnr = concealed_psnr(&clip, &clean.received);
-        let mut durations = run.resync.durations();
-        durations.sort_unstable();
-        let ctl = controllers[si];
-        let row = Row {
-            label: format!("{}, {}", proto.label(), storm.label()),
-            values: vec![
-                ("sent".into(), run.sent as f64),
-                ("resync episodes".into(), durations.len() as f64),
-                ("recovery p50 (pkts)".into(), percentile(&durations, 0.50)),
-                ("recovery p95 (pkts)".into(), percentile(&durations, 0.95)),
-                ("recovery max (pkts)".into(), run.resync.max_duration() as f64),
-                (
-                    "recovery bounded".into(),
-                    run.resync.bounded_by(bound) as u8 as f64,
-                ),
-                ("timeouts".into(), run.timeouts as f64),
-                ("frames intact".into(), run.frames_intact() as f64),
-                ("frames".into(), frames as f64),
-                ("ΔPSNR vs clean (dB)".into(), clean_psnr - psnr),
-                (
-                    "goodput adaptive (Mbit/s)".into(),
-                    run.goodput_mbps(&input, run.stall_adaptive_s),
-                ),
-                (
-                    "goodput fixed (Mbit/s)".into(),
-                    run.goodput_mbps(&input, run.stall_fixed_s),
-                ),
-                ("controller flaps".into(), ctl.flaps as f64),
-                ("controller transitions".into(), ctl.transitions as f64),
-                ("controller rung".into(), ctl.rung.index() as f64),
-                ("controller settled".into(), ctl.settled as u8 as f64),
-                ("reproducible".into(), reproducible as u8 as f64),
-            ],
-        };
-        (row, metrics.snapshot())
-    });
     let title = format!(
-        "Chaos soak matrix — {frames}-frame clip, GOP {GOP}, recovery bound {bound} pkts"
+        "Chaos soak matrix — {}-frame clip, GOP {GOP}, recovery bound {bound} pkts",
+        work.frames
     );
-    let (rows, snapshots): (Vec<Row>, Vec<_>) = results.into_iter().unzip();
-    let figure_metrics = FigureMetrics {
-        title: title.clone(),
-        cells: rows
-            .iter()
-            .zip(snapshots)
-            .map(|(row, snapshot)| CellMetrics {
-                label: row.label.clone(),
-                snapshot,
-            })
-            .collect(),
-    };
+    // Degradation gate: the lossless, fault-free twin bounds quality.
+    let (rows, figure_metrics) = self_checked(
+        &title,
+        &work,
+        &cells,
+        Cell::lossless,
+        |cell, &(storm, ctl), c| {
+            let run = &c.run;
+            let mut durations = run.resync.durations();
+            durations.sort_unstable();
+            let (stall_fixed_s, stall_adaptive_s) = rto_stalls_s(run);
+            Row {
+                label: format!("{}, {}", cell.proto.label(), storm.label()),
+                values: vec![
+                    ("sent".into(), run.sent as f64),
+                    ("resync episodes".into(), durations.len() as f64),
+                    ("recovery p50 (pkts)".into(), percentile(&durations, 0.50)),
+                    ("recovery p95 (pkts)".into(), percentile(&durations, 0.95)),
+                    (
+                        "recovery max (pkts)".into(),
+                        run.resync.max_duration() as f64,
+                    ),
+                    (
+                        "recovery bounded".into(),
+                        run.resync.bounded_by(bound) as u8 as f64,
+                    ),
+                    ("timeouts".into(), run.stalls() as f64),
+                    ("frames intact".into(), run.frames_intact() as f64),
+                    ("frames".into(), work.frames as f64),
+                    ("ΔPSNR vs clean (dB)".into(), c.delta_psnr()),
+                    (
+                        "goodput adaptive (Mbit/s)".into(),
+                        run.goodput_mbps(&work.input, stall_adaptive_s),
+                    ),
+                    (
+                        "goodput fixed (Mbit/s)".into(),
+                        run.goodput_mbps(&work.input, stall_fixed_s),
+                    ),
+                    ("controller flaps".into(), ctl.flaps as f64),
+                    ("controller transitions".into(), ctl.transitions as f64),
+                    ("controller rung".into(), ctl.rung.index() as f64),
+                    ("controller settled".into(), ctl.settled as u8 as f64),
+                    ("reproducible".into(), c.reproducible as u8 as f64),
+                ],
+            }
+        },
+    );
     let table = Table {
         title,
         caption: format!(
@@ -736,35 +361,28 @@ pub fn chaos_matrix(effort: Effort) -> (Table, FigureMetrics) {
 /// violations (empty = pass). `reproduce chaos` exits nonzero on any.
 pub fn verify_chaos_matrix(table: &Table) -> Vec<String> {
     let mut violations = Vec::new();
-    let col = |row: &Row, name: &str| -> f64 {
-        row.values
-            .iter()
-            .find(|(key, _)| key == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(f64::NAN)
-    };
     for row in &table.rows {
         // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "reproducible") != 1.0 {
+        if row.value("reproducible") != 1.0 {
             violations.push(format!("{}: run was not bit-reproducible", row.label));
         }
         // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "recovery bounded") != 1.0 {
+        if row.value("recovery bounded") != 1.0 {
             violations.push(format!(
                 "{}: a resync episode exceeded the recovery bound (max {})",
                 row.label,
-                col(row, "recovery max (pkts)")
+                row.value("recovery max (pkts)")
             ));
         }
-        let delta = col(row, "ΔPSNR vs clean (dB)");
+        let delta = row.value("ΔPSNR vs clean (dB)");
         if delta.is_nan() || delta < -1e-9 {
             violations.push(format!(
                 "{}: faulty run beat its clean twin (ΔPSNR = {delta})",
                 row.label
             ));
         }
-        let adaptive = col(row, "goodput adaptive (Mbit/s)");
-        let fixed = col(row, "goodput fixed (Mbit/s)");
+        let adaptive = row.value("goodput adaptive (Mbit/s)");
+        let fixed = row.value("goodput fixed (Mbit/s)");
         if !adaptive.is_finite() || !fixed.is_finite() {
             violations.push(format!("{}: goodput not finite", row.label));
         } else if adaptive < fixed - 1e-9 {
@@ -774,24 +392,24 @@ pub fn verify_chaos_matrix(table: &Table) -> Vec<String> {
             ));
         }
         // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "controller flaps") != 0.0 {
+        if row.value("controller flaps") != 0.0 {
             violations.push(format!(
                 "{}: degradation controller flapped {} times",
                 row.label,
-                col(row, "controller flaps")
+                row.value("controller flaps")
             ));
         }
         // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "controller settled") != 1.0 {
+        if row.value("controller settled") != 1.0 {
             violations.push(format!(
                 "{}: controller settled on rung {} which is unstable at the \
                  channel's analytic loss",
                 row.label,
-                col(row, "controller rung")
+                row.value("controller rung")
             ));
         }
-        let intact = col(row, "frames intact");
-        let frames = col(row, "frames");
+        let intact = row.value("frames intact");
+        let frames = row.value("frames");
         if intact > frames {
             violations.push(format!("{}: more frames intact than sent", row.label));
         }
@@ -806,7 +424,7 @@ pub fn verify_chaos_matrix(table: &Table) -> Vec<String> {
     for storm in [StormClass::KeyRotation, StormClass::Gauntlet] {
         let label = format!("{}, {}", ProtocolKind::Udp.label(), storm.label());
         match table.rows.iter().find(|r| r.label == label) {
-            Some(row) if col(row, "resync episodes") < 1.0 => violations.push(format!(
+            Some(row) if row.value("resync episodes") < 1.0 => violations.push(format!(
                 "{label}: stale-key storm produced no resync episodes"
             )),
             None => violations.push(format!("missing row {label}")),
@@ -822,15 +440,15 @@ pub fn verify_chaos_matrix(table: &Table) -> Vec<String> {
     );
     match table.rows.iter().find(|r| r.label == tcp_fade) {
         Some(row) => {
-            let adaptive = col(row, "goodput adaptive (Mbit/s)");
-            let fixed = col(row, "goodput fixed (Mbit/s)");
+            let adaptive = row.value("goodput adaptive (Mbit/s)");
+            let fixed = row.value("goodput fixed (Mbit/s)");
             // `partial_cmp` so a NaN goodput is a violation, not a pass.
             if adaptive.partial_cmp(&fixed) != Some(std::cmp::Ordering::Greater) {
                 violations.push(format!(
                     "{tcp_fade}: adaptive goodput {adaptive} did not beat fixed {fixed}"
                 ));
             }
-            if col(row, "timeouts") < 1.0 {
+            if row.value("timeouts") < 1.0 {
                 violations.push(format!("{tcp_fade}: deep fade forced no timeouts"));
             }
         }
@@ -842,6 +460,8 @@ pub fn verify_chaos_matrix(table: &Table) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::stream;
+    use thrifty_telemetry::MetricsRegistry;
 
     fn tiny() -> Effort {
         Effort {
@@ -893,31 +513,26 @@ mod tests {
     #[test]
     fn adaptive_rto_never_stalls_longer_than_fixed() {
         let input = stream(40);
+        let stalls = |storm| {
+            let run =
+                storm_cell(storm, ProtocolKind::Tcp, 7).run(&input, &MetricsRegistry::disabled());
+            (run.stalls(), rto_stalls_s(&run))
+        };
         for storm in StormClass::ALL {
-            let run = run_tcp(&input, storm, 7, false, &MetricsRegistry::disabled());
+            let (_, (fixed, adaptive)) = stalls(storm);
             assert!(
-                run.stall_adaptive_s <= run.stall_fixed_s + 1e-12,
-                "{}: adaptive {} vs fixed {}",
-                storm.label(),
-                run.stall_adaptive_s,
-                run.stall_fixed_s
+                adaptive <= fixed + 1e-12,
+                "{}: adaptive {adaptive} vs fixed {fixed}",
+                storm.label()
             );
         }
         // The deep fade forces enough timeouts after convergence that the
         // adaptive biller is strictly cheaper.
-        let fade = run_tcp(
-            &input,
-            StormClass::DeepFade,
-            7,
-            false,
-            &MetricsRegistry::disabled(),
-        );
-        assert!(fade.timeouts > 0, "deep fade must force timeouts");
+        let (timeouts, (fixed, adaptive)) = stalls(StormClass::DeepFade);
+        assert!(timeouts > 0, "deep fade must force timeouts");
         assert!(
-            fade.stall_adaptive_s < fade.stall_fixed_s,
-            "adaptive {} must beat fixed {}",
-            fade.stall_adaptive_s,
-            fade.stall_fixed_s
+            adaptive < fixed,
+            "adaptive {adaptive} must beat fixed {fixed}"
         );
     }
 
@@ -939,24 +554,13 @@ mod tests {
     #[test]
     fn key_rotation_storm_produces_bounded_resync_episodes() {
         let input = stream(80);
-        let run = run_udp(
-            &input,
-            StormClass::KeyRotation,
-            3,
-            false,
-            &MetricsRegistry::disabled(),
-        );
+        let run = storm_cell(StormClass::KeyRotation, ProtocolKind::Udp, 3)
+            .run(&input, &MetricsRegistry::disabled());
         assert!(
             !run.resync.episodes.is_empty(),
             "stale-key storm must desync the receiver at least once"
         );
-        let mtu = PipelineConfig::default().mtu_payload;
-        let gop_packets: u64 = input
-            .iter()
-            .take(GOP)
-            .map(|f| annex_b_len(f).div_ceil(mtu) as u64)
-            .sum();
-        assert!(run.resync.bounded_by(HANDSHAKE_PACKETS + 10 * gop_packets));
+        assert!(run.resync.bounded_by(recovery_bound(&input)));
     }
 
     #[test]

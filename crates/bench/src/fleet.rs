@@ -38,7 +38,7 @@ use thrifty_fleet::{
 use thrifty_telemetry::MetricsRegistry;
 
 use crate::parallel::par_map;
-use crate::{CellMetrics, Effort, FigureMetrics, Row, Table};
+use crate::{Effort, FigureMetrics, Row, Table};
 
 /// The swept fleet sizes.
 pub const FLEET_SIZES: [usize; 7] = [1, 2, 5, 10, 25, 50, 100];
@@ -141,17 +141,7 @@ fn sweep(effort: Effort, sizes: &[usize]) -> (Table, FigureMetrics) {
     });
     let title = format!("Fleet scaling — {frames}-frame clips, 4 background stations");
     let (rows, snapshots): (Vec<Row>, Vec<_>) = results.into_iter().unzip();
-    let figure_metrics = FigureMetrics {
-        title: title.clone(),
-        cells: rows
-            .iter()
-            .zip(snapshots)
-            .map(|(row, snapshot)| CellMetrics {
-                label: row.label.clone(),
-                snapshot,
-            })
-            .collect(),
-    };
+    let figure_metrics = FigureMetrics::from_cells(&title, &rows, snapshots);
     let table = Table {
         title,
         caption: "N concurrent uploaders contending for one AP (stations = N + 4 \
@@ -185,43 +175,40 @@ pub fn fleet_sweep(effort: Effort) -> (Table, FigureMetrics) {
 /// check fails, so CI catches a determinism or caching regression.
 pub fn verify_fleet_sweep(table: &Table) -> Vec<String> {
     let mut violations = Vec::new();
-    let col = |row: &Row, name: &str| -> f64 {
-        row.values
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(f64::NAN)
-    };
     for row in &table.rows {
         // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "reproducible") != 1.0 {
+        if row.value("reproducible") != 1.0 {
             violations.push(format!("{}: metered run was not bit-reproducible", row.label));
         }
         // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "single-sender ==") != 1.0 {
+        if row.value("single-sender ==") != 1.0 {
             violations.push(format!(
                 "{}: N=1 cell diverged from the single-sender path",
                 row.label
             ));
         }
-        let residual = col(row, "solver residual");
+        let residual = row.value("solver residual");
         if residual.is_nan() || residual >= 1e-6 {
             violations.push(format!(
                 "{}: 2-state vs n-state solver residual {residual}",
                 row.label
             ));
         }
-        let hit_rate = col(row, "cache hit rate");
+        let hit_rate = row.value("cache hit rate");
         if !(0.0..=1.0).contains(&hit_rate) {
             violations.push(format!("{}: bad cache hit rate {hit_rate}", row.label));
         }
-        if col(row, "flows") >= 100.0 && (hit_rate.is_nan() || hit_rate <= 0.9) {
+        if row.value("flows") >= 100.0 && (hit_rate.is_nan() || hit_rate <= 0.9) {
             violations.push(format!(
                 "{}: solve-cache hit rate {hit_rate} ≤ 0.9 on the 100-flow cell",
                 row.label
             ));
         }
-        let (p50, p95, p99) = (col(row, "p50 (ms)"), col(row, "p95 (ms)"), col(row, "p99 (ms)"));
+        let (p50, p95, p99) = (
+            row.value("p50 (ms)"),
+            row.value("p95 (ms)"),
+            row.value("p99 (ms)"),
+        );
         if !(p50 <= p95 && p95 <= p99) {
             violations.push(format!(
                 "{}: percentiles out of order ({p50}, {p95}, {p99})",
@@ -340,46 +327,43 @@ pub fn scale_sweep(sizes: &[usize]) -> (Table, Vec<ScaleBench>) {
 /// pass). `reproduce fleet` exits non-zero when any check fails.
 pub fn verify_scale_sweep(table: &Table) -> Vec<String> {
     let mut violations = Vec::new();
-    let col = |row: &Row, name: &str| -> f64 {
-        row.values
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(f64::NAN)
-    };
     for row in &table.rows {
         // lint:allow(num-float-eq): indicator column stores exactly 1.0 or 0.0
-        if col(row, "reproducible") != 1.0 {
+        if row.value("reproducible") != 1.0 {
             violations.push(format!("{}: scale run was not bit-reproducible", row.label));
         }
         // Both columns hold exact integer counts well under 2^53, so
         // float equality is exact here.
-        let (packets, events) = (col(row, "packets"), col(row, "events"));
+        let (packets, events) = (row.value("packets"), row.value("events"));
         if packets != events || packets <= 0.0 {
             violations.push(format!(
                 "{}: calendar must dispatch exactly one event per packet ({events} vs {packets})",
                 row.label
             ));
         }
-        let delivered = col(row, "delivered");
+        let delivered = row.value("delivered");
         if !(delivered > 0.0 && delivered <= packets) {
             violations.push(format!(
                 "{}: delivered count {delivered} outside (0, {packets}]",
                 row.label
             ));
         }
-        let mean = col(row, "mean delay (ms)");
+        let mean = row.value("mean delay (ms)");
         if !(mean.is_finite() && mean > 0.0) {
             violations.push(format!("{}: unphysical mean delay {mean} ms", row.label));
         }
-        let (p50, p95, p99) = (col(row, "p50 (ms)"), col(row, "p95 (ms)"), col(row, "p99 (ms)"));
+        let (p50, p95, p99) = (
+            row.value("p50 (ms)"),
+            row.value("p95 (ms)"),
+            row.value("p99 (ms)"),
+        );
         if !(p50 <= p95 && p95 <= p99) {
             violations.push(format!(
                 "{}: percentiles out of order ({p50}, {p95}, {p99})",
                 row.label
             ));
         }
-        if !(col(row, "makespan (s)") > 0.0 && col(row, "aggregate (Mb/s)") > 0.0) {
+        if !(row.value("makespan (s)") > 0.0 && row.value("aggregate (Mb/s)") > 0.0) {
             violations.push(format!("{}: degenerate makespan or throughput", row.label));
         }
     }

@@ -25,6 +25,7 @@ pub mod faults;
 pub mod fleet;
 pub mod fountain;
 pub mod golden;
+pub mod matrix;
 pub mod throughput;
 
 /// The work-stealing map primitives now live in `thrifty-fleet` (the fleet
@@ -33,13 +34,14 @@ pub mod throughput;
 pub use thrifty_fleet::parallel;
 
 pub use chaos::{chaos_matrix, verify_chaos_matrix, StormClass};
-pub use faults::{fault_matrix, verify_fault_matrix, ChannelKind, FaultClass, TransportKind};
-pub use fountain::{fountain_matrix, verify_fountain_matrix, LossPoint, ProtocolKind};
+pub use faults::{fault_matrix, verify_fault_matrix, FaultClass};
 pub use fleet::{
     bench_fleet_json, fleet_sweep, scale_sweep, verify_fleet_sweep, verify_scale_sweep,
     ScaleBench, FLEET_SIZES, SCALE_SIZES, SCALE_SIZE_FULL,
 };
+pub use fountain::{fountain_matrix, verify_fountain_matrix};
 pub use golden::{diff_against_golden, golden_effort, golden_figures, parse_table_json};
+pub use matrix::{LossPoint, ProtocolKind};
 pub use parallel::{par_flat_map, par_map};
 pub use throughput::{
     bench_cipher_json, measure_cipher_throughput, validate_bench_cipher_schema, CipherThroughput,
@@ -121,6 +123,16 @@ pub struct Row {
     pub label: String,
     /// `(column name, value)` pairs.
     pub values: Vec<(String, f64)>,
+}
+
+impl Row {
+    /// The value in column `name` (NaN when the row has no such column).
+    pub fn value(&self, name: &str) -> f64 {
+        self.values
+            .iter()
+            .find(|(k, _)| k == name)
+            .map_or(f64::NAN, |(_, v)| *v)
+    }
 }
 
 /// A printable table with a title and caption.
@@ -226,6 +238,21 @@ pub struct FigureMetrics {
 }
 
 impl FigureMetrics {
+    /// One [`CellMetrics`] per row, labelled like the row, in row order.
+    pub fn from_cells(title: &str, rows: &[Row], snapshots: Vec<Snapshot>) -> Self {
+        FigureMetrics {
+            title: title.to_string(),
+            cells: rows
+                .iter()
+                .zip(snapshots)
+                .map(|(row, snapshot)| CellMetrics {
+                    label: row.label.clone(),
+                    snapshot,
+                })
+                .collect(),
+        }
+    }
+
     /// Fold every cell snapshot into one figure-level snapshot,
     /// deterministically (cells merge in row order).
     pub fn merged(&self) -> Snapshot {
@@ -462,17 +489,7 @@ pub fn fig7_8_with(
     });
     let title = format!("Figures 7/8 — per-packet delay on the {}", device.name);
     let (rows, snapshots): (Vec<Row>, Vec<Snapshot>) = results.into_iter().unzip();
-    let figure_metrics = metrics.then(|| FigureMetrics {
-        title: title.clone(),
-        cells: rows
-            .iter()
-            .zip(snapshots)
-            .map(|(row, snapshot)| CellMetrics {
-                label: row.label.clone(),
-                snapshot,
-            })
-            .collect(),
-    });
+    let figure_metrics = metrics.then(|| FigureMetrics::from_cells(&title, &rows, snapshots));
     let table = Table {
         title,
         caption: "Paper: delay(none) < delay(I) < delay(P) ≤ delay(all); 3DES dominates \
@@ -561,17 +578,7 @@ pub fn table2_with(effort: Effort, metrics: bool) -> (Table, Option<FigureMetric
     });
     let title = "Table 2 — delay vs distortion, I + α·P (Samsung, fast, GOP 30)".to_string();
     let (rows, snapshots): (Vec<Row>, Vec<Snapshot>) = results.into_iter().unzip();
-    let figure_metrics = metrics.then(|| FigureMetrics {
-        title: title.clone(),
-        cells: rows
-            .iter()
-            .zip(snapshots)
-            .map(|(row, snapshot)| CellMetrics {
-                label: row.label.clone(),
-                snapshot,
-            })
-            .collect(),
-    });
+    let figure_metrics = metrics.then(|| FigureMetrics::from_cells(&title, &rows, snapshots));
     let table = Table {
         title,
         caption: "Paper: delay creeps from 48→62 ms while PSNR falls 20.7→16.0 dB and \
@@ -668,17 +675,7 @@ pub fn fig12_13_with(
     });
     let title = format!("Figures 12/13 — HTTP/TCP delay on the {}", device.name);
     let (rows, snapshots): (Vec<Row>, Vec<Snapshot>) = results.into_iter().unzip();
-    let figure_metrics = metrics.then(|| FigureMetrics {
-        title: title.clone(),
-        cells: rows
-            .iter()
-            .zip(snapshots)
-            .map(|(row, snapshot)| CellMetrics {
-                label: row.label.clone(),
-                snapshot,
-            })
-            .collect(),
-    });
+    let figure_metrics = metrics.then(|| FigureMetrics::from_cells(&title, &rows, snapshots));
     let table = Table {
         title,
         caption: "Paper: same ordering as RTP/UDP with slightly higher latency from \

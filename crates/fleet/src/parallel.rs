@@ -43,16 +43,26 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // Each index is claimed exactly once, so `set` cannot fail;
-                // the Err arm only exists because OnceLock returns the value.
-                let _ = slots[i].set(f(&items[i]));
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    // Each index is claimed exactly once, so `set` cannot
+                    // fail; the Err arm only exists because OnceLock returns
+                    // the value.
+                    let _ = slots[i].set(f(&items[i]));
+                })
+            })
+            .collect();
+        // Re-raise a worker's own panic payload: left to the scope, it
+        // would surface only as a generic "a scoped thread panicked".
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
     slots

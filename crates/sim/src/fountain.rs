@@ -31,12 +31,14 @@ use thrifty_analytic::policy::Policy;
 use thrifty_crypto::SegmentCipher;
 use thrifty_fec::{BlockEncoder, PeelingDecoder};
 use thrifty_net::wire::FountainHeader;
-use thrifty_net::{BernoulliChannel, GilbertElliottChannel, LossChannel, UDP_IP_OVERHEAD};
+use thrifty_net::{LossChannel, UDP_IP_OVERHEAD};
 use thrifty_telemetry::MetricsRegistry;
 use thrifty_video::nal::{parse_annex_b, write_annex_b};
 use thrifty_video::FrameType;
 
-use crate::pipeline::{AirChannel, InputFrame, PipelineError, Reconstruction, SESSION_KEY};
+use crate::pipeline::{
+    AirChannel, AirLoss, InputFrame, PipelineError, Reconstruction, SESSION_KEY,
+};
 
 /// Configuration of a fountain transport run.
 #[derive(Debug, Clone, Copy)]
@@ -125,21 +127,6 @@ pub struct FountainOutcome {
     pub eavesdropper_undecryptable: u64,
 }
 
-/// Statically-dispatched channel pair (mirrors the bench fault matrix).
-enum AirLoss {
-    Iid(BernoulliChannel),
-    Burst(GilbertElliottChannel),
-}
-
-impl AirLoss {
-    fn transmit(&mut self, rng: &mut StdRng) -> bool {
-        match self {
-            AirLoss::Iid(c) => c.transmit(rng),
-            AirLoss::Burst(c) => c.transmit(rng),
-        }
-    }
-}
-
 /// Group frames into source blocks: a new block starts at every I-frame
 /// (the GOP boundary), so one lost block never damages two GOPs.
 fn group_into_gops(frames: &[InputFrame]) -> Vec<Vec<&InputFrame>> {
@@ -178,21 +165,8 @@ pub fn run_pipeline_fountain_metered(
 ) -> Result<FountainOutcome, PipelineError> {
     let cipher = SegmentCipher::new(config.policy.algorithm, &SESSION_KEY)
         .map_err(PipelineError::KeyRejected)?;
-    let mut air = match config.channel {
-        AirChannel::Iid => AirLoss::Iid(
-            BernoulliChannel::try_new(1.0 - config.loss_prob)
-                .map_err(PipelineError::InvalidChannel)?,
-        ),
-        AirChannel::Burst {
-            p_gb,
-            p_bg,
-            good_success,
-            bad_success,
-        } => AirLoss::Burst(
-            GilbertElliottChannel::try_new(p_gb, p_bg, good_success, bad_success)
-                .map_err(PipelineError::InvalidChannel)?,
-        ),
-    };
+    let mut air =
+        AirLoss::new(config.loss_prob, config.channel).map_err(PipelineError::InvalidChannel)?;
 
     let sent_counter = metrics.counter("fountain.symbols_sent");
     let lost_counter = metrics.counter("fountain.symbols_lost");

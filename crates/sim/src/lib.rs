@@ -26,14 +26,19 @@
 //!   fountain symbols (`thrifty-fec`) instead of RTP/UDP or HTTP/TCP;
 //!   undecoded source symbols become counted erasures feeding the
 //!   distortion model.
+//! * [`tcp`] — the HTTP/TCP real-bytes transport: marker-flagged segments
+//!   retransmitted until delivered, with a per-segment retransmission
+//!   trace for billing air time and stalls.
 
 pub mod experiment;
 pub mod fountain;
 pub mod pipeline;
 pub mod sender;
 pub mod stats;
+pub mod tcp;
 
 pub use experiment::{Experiment, ExperimentConfig, ExperimentResult, Transport};
 pub use fountain::{run_pipeline_fountain, run_pipeline_fountain_metered, FountainConfig, FountainOutcome};
 pub use sender::{PacketRecord, SenderSim, SenderSummary};
 pub use stats::Summary;
+pub use tcp::{run_pipeline_tcp, TcpOutcome};

@@ -52,7 +52,7 @@ use thrifty_analytic::policy::Policy;
 use thrifty_crypto::SegmentCipher;
 use thrifty_faults::{FaultPlan, FaultStats, PacketInjector, QueueFaults, ReceiverFaults};
 use thrifty_net::wire::{FragmentHeader, RtpHeader, RtpPacket, FRAG_HEADER_LEN, RTP_HEADER_LEN};
-use thrifty_net::{GilbertElliottChannel, LossChannel};
+use thrifty_net::{BernoulliChannel, GilbertElliottChannel, LossChannel};
 use thrifty_recover::{DesyncKind, RecoveryReport, ResyncProtocol};
 use thrifty_video::bitstream::{PictureParameterSet, SequenceParameterSet};
 use thrifty_video::nal::{parse_annex_b, write_annex_b, NalUnit, NalUnitType};
@@ -75,6 +75,54 @@ pub enum AirChannel {
         /// Delivery probability in the Bad state.
         bad_success: f64,
     },
+}
+
+/// An [`AirChannel`] made concrete: the one [`LossChannel`] the TCP and
+/// fountain transports (and the bench matrices) draw their air from.
+/// Statically dispatched, because `transmit` is generic over the RNG.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AirLoss {
+    /// Independent per-packet loss.
+    Iid(BernoulliChannel),
+    /// Two-state Gilbert–Elliott bursty loss.
+    Burst(GilbertElliottChannel),
+}
+
+impl AirLoss {
+    /// The channel `channel` describes; `loss_prob` applies to
+    /// [`AirChannel::Iid`] only. Rejects probabilities outside `[0, 1]`.
+    pub fn new(loss_prob: f64, channel: AirChannel) -> Result<Self, thrifty_net::ChannelError> {
+        Ok(match channel {
+            AirChannel::Iid => AirLoss::Iid(BernoulliChannel::try_new(1.0 - loss_prob)?),
+            AirChannel::Burst {
+                p_gb,
+                p_bg,
+                good_success,
+                bad_success,
+            } => AirLoss::Burst(GilbertElliottChannel::try_new(
+                p_gb,
+                p_bg,
+                good_success,
+                bad_success,
+            )?),
+        })
+    }
+}
+
+impl LossChannel for AirLoss {
+    fn transmit<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+        match self {
+            AirLoss::Iid(c) => c.transmit(rng),
+            AirLoss::Burst(c) => c.transmit(rng),
+        }
+    }
+
+    fn success_rate(&self) -> f64 {
+        match self {
+            AirLoss::Iid(c) => c.success_rate(),
+            AirLoss::Burst(c) => c.success_rate(),
+        }
+    }
 }
 
 /// Receiver-side recovery: turn stale-key hits into bounded re-key +
@@ -280,10 +328,47 @@ const SPS_FRAME: u32 = u32::MAX;
 const PPS_FRAME: u32 = u32::MAX - 1;
 
 /// The session key of the threat model's pre-established secret (shared
-/// with the fountain transport scenario in [`crate::fountain`]).
+/// with the TCP and fountain transports in [`crate::tcp`] and
+/// [`crate::fountain`]).
 pub(crate) const SESSION_KEY: [u8; 32] = [0x42u8; 32];
 /// An out-of-date key for the stale-key fault: same length, different bits.
-const STALE_KEY: [u8; 32] = [0xA5u8; 32];
+pub(crate) const STALE_KEY: [u8; 32] = [0xA5u8; 32];
+
+/// Per-frame fragment store: frame index → fragment number → bytes.
+pub(crate) type Fragments = BTreeMap<usize, BTreeMap<u16, Vec<u8>>>;
+
+/// Reassemble an observer's fragments: a frame is intact iff every
+/// fragment arrived and the concatenation parses back to the original NAL
+/// payload byte for byte; everything else is damaged.
+pub(crate) fn reconstruct(
+    originals: &BTreeMap<usize, Vec<u8>>,
+    store: &Fragments,
+    totals: &BTreeMap<usize, u16>,
+) -> Reconstruction {
+    let mut rec = Reconstruction::default();
+    for (&frame, original) in originals {
+        let complete = totals.get(&frame).is_some_and(|&total| {
+            store
+                .get(&frame)
+                .is_some_and(|frags| frags.len() == total as usize)
+        });
+        if !complete {
+            rec.frames_damaged.push(frame);
+            continue;
+        }
+        let mut annex_b = Vec::new();
+        for chunk in store[&frame].values() {
+            annex_b.extend_from_slice(chunk);
+        }
+        match parse_annex_b(&annex_b) {
+            Ok(units) if units.len() == 1 && &units[0].payload == original => {
+                rec.frames_ok.push(frame)
+            }
+            _ => rec.frames_damaged.push(frame),
+        }
+    }
+    rec
+}
 
 /// Run the full pipeline over `frames` with real encryption and framing.
 ///
@@ -566,8 +651,7 @@ pub fn run_pipeline_faulty(
     // Observer threads: reassemble frames from fragments. Everything a
     // hostile channel can hand them — garbage RTP, mangled fragmentation
     // headers, undecryptable payloads — is absorbed as a counted erasure.
-    /// Per-frame fragment store: frame index → fragment number → bytes.
-    type FragmentStore = Arc<Mutex<BTreeMap<usize, BTreeMap<u16, Vec<u8>>>>>;
+    type FragmentStore = Arc<Mutex<Fragments>>;
     /// Live resync bookkeeping: the protocol plus the receive-packet clock
     /// driving it (ticks are received packets, a deterministic unit).
     struct ResyncState {
@@ -728,37 +812,7 @@ pub fn run_pipeline_faulty(
     faults.merge(&air_stats);
     faults.merge(&receiver_fault_stats);
 
-    let reconstruct = |store: &BTreeMap<usize, BTreeMap<u16, Vec<u8>>>,
-                       totals: &BTreeMap<usize, u16>|
-     -> Reconstruction {
-        let mut rec = Reconstruction::default();
-        for (&frame, original) in &originals {
-            let complete = totals.get(&frame).is_some_and(|&total| {
-                store
-                    .get(&frame)
-                    .is_some_and(|frags| frags.len() == total as usize)
-            });
-            if !complete {
-                rec.frames_damaged.push(frame);
-                continue;
-            }
-            let mut annex_b = Vec::new();
-            for chunk in store[&frame].values() {
-                annex_b.extend_from_slice(chunk);
-            }
-            match parse_annex_b(&annex_b) {
-                Ok(units) if units.len() == 1 && &units[0].payload == original => {
-                    rec.frames_ok.push(frame)
-                }
-                _ => rec.frames_damaged.push(frame),
-            }
-        }
-        rec
-    };
-
-    let parse_param = |store: &BTreeMap<usize, BTreeMap<u16, Vec<u8>>>,
-                       reserved: u32|
-     -> Option<NalUnit> {
+    let parse_param = |store: &Fragments, reserved: u32| -> Option<NalUnit> {
         let frags = store.get(&(reserved as usize))?;
         let mut annex_b = Vec::new();
         for chunk in frags.values() {
@@ -775,12 +829,12 @@ pub fn run_pipeline_faulty(
         let pps = parse_param(&frames, PPS_FRAME)
             .filter(|u| u.unit_type == NalUnitType::Pps)
             .and_then(|u| PictureParameterSet::from_rbsp(&u.payload).ok());
-        (reconstruct(&frames, &totals), sps, pps)
+        (reconstruct(&originals, &frames, &totals), sps, pps)
     };
     let eavesdropper = {
         let frames = eve_frames.lock();
         let totals = eve_totals.lock();
-        reconstruct(&frames, &totals)
+        reconstruct(&originals, &frames, &totals)
     };
     Ok(PipelineOutcome {
         packets_sent,
