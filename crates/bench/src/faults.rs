@@ -4,7 +4,7 @@
 //! Sweeps every fault class of [`thrifty_faults::FaultPlan`] (plus a clean
 //! baseline) across **both channel models** (i.i.d. Bernoulli — the eq. (20)
 //! assumption — and bursty Gilbert–Elliott) and **both transports** (RTP/UDP
-//! via the threaded pipeline, the §6.4 marker-option TCP framing via
+//! via [`thrifty_sim::pipeline`], the §6.4 marker-option TCP framing via
 //! [`thrifty_sim::tcp`]), each cell run through the shared
 //! [`crate::matrix`] harness. Every cell:
 //!
@@ -13,7 +13,7 @@
 //! * runs a **clean twin** (same seed and channel, empty plan) and verifies
 //!   the faulty output either matches it or degrades to a **quantified PSNR
 //!   loss** (`ΔPSNR` column, via the paper's concealment decoder of
-//!   Section 4.3.2) — never a panic or a deadlock;
+//!   Section 4.3.2) — never a panic;
 //! * captures a **telemetry snapshot** (fault counters, channel counters,
 //!   erasure counters) into its own registry, merged per-figure like the
 //!   delay figures.

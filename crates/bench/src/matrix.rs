@@ -50,7 +50,7 @@ const DECODE_FAILURE_TARGET: f64 = 0.02;
 /// The three transports, in row-block order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
-    /// The threaded RTP/UDP real-bytes pipeline.
+    /// The RTP/UDP real-bytes pipeline.
     Udp,
     /// The §6.4 marker-option TCP framing with retransmission.
     Tcp,
@@ -367,7 +367,7 @@ impl Cell {
                 };
                 let mtu = config.mtu_payload;
                 let out = run_pipeline_faulty(input.to_vec(), config, &self.plan, metrics)
-                    .expect("matrix plans are valid; pipeline stages are panic-free");
+                    .expect("matrix plans and channels are valid");
                 // Frames the bounded queue dropped never burn air; the rest
                 // is chunked at the MTU, each packet paying the RTP and
                 // fragment headers and UDP/IP.

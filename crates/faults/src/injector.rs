@@ -1,10 +1,10 @@
-//! Runtime fault injectors, split along the pipeline's thread boundaries.
+//! Runtime fault injectors, split by the pipeline stage that owns them.
 //!
-//! The threaded testbed consumes faults from three places: the **air**
+//! The real-bytes transports consume faults from three places: the **air**
 //! (corruption, truncation, duplication, reordering, burst loss), the
 //! **receiver** (stale-key decryption) and the **producer** (bounded-queue
-//! overflow). Each half owns the RNG streams of exactly the sites it
-//! applies, so every stream is consumed by one thread in arrival order and
+//! overflow). Each injector owns the RNG streams of exactly the sites it
+//! applies, so every stream is consumed by one stage in arrival order and
 //! a run is bit-reproducible from `(seed, plan)`.
 //!
 //! All injectors are draw-free when their sites are unarmed: an empty
@@ -20,7 +20,7 @@ use crate::rng::{site_rng, FaultSite};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Plain counts of what the injectors did, mergeable across threads.
+/// Plain counts of what the injectors did, mergeable across stages.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Packets with at least one flipped bit.

@@ -17,9 +17,9 @@
 //!   fault never perturbs the draw sequence of another — the same property
 //!   the telemetry layer guarantees for metering.
 //! * [`PacketInjector`] / [`ReceiverFaults`] / [`QueueFaults`] — the
-//!   runtime halves, split along the thread boundaries of the pipeline
-//!   (air, receiver, producer) so each stream is consumed by exactly one
-//!   thread in arrival order and runs stay deterministic.
+//!   runtime halves, split by the pipeline stage that owns them (air,
+//!   receiver, producer queue) so each stream is consumed by exactly one
+//!   stage in arrival order and runs stay deterministic.
 //! * [`FaultyChannel`] — a [`LossChannel`](thrifty_net::LossChannel)
 //!   wrapper layering burst-loss episodes on any inner channel and
 //!   exposing the byte-mangling hook for wire-format robustness tests.

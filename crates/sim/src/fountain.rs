@@ -10,7 +10,7 @@
 //! make identical encrypt decisions for a given `(seed, frames)` pair and
 //! can be compared differentially.
 //!
-//! Erasure semantics mirror the threaded testbed: a symbol whose
+//! Erasure semantics mirror the RTP/UDP testbed: a symbol whose
 //! [`FountainHeader`] fails to parse is a counted erasure, and every
 //! source symbol still missing when the stream ends is a counted erasure
 //! feeding frame damage (and from there the distortion model). The
@@ -33,11 +33,11 @@ use thrifty_fec::{BlockEncoder, PeelingDecoder};
 use thrifty_net::wire::FountainHeader;
 use thrifty_net::{LossChannel, UDP_IP_OVERHEAD};
 use thrifty_telemetry::MetricsRegistry;
-use thrifty_video::nal::{parse_annex_b, write_annex_b};
+use thrifty_video::nal::write_annex_b;
 use thrifty_video::FrameType;
 
 use crate::pipeline::{
-    AirChannel, AirLoss, InputFrame, PipelineError, Reconstruction, SESSION_KEY,
+    frame_matches, AirChannel, AirLoss, InputFrame, PipelineError, Reconstruction, SESSION_KEY,
 };
 
 /// Configuration of a fountain transport run.
@@ -158,6 +158,11 @@ pub fn run_pipeline_fountain(
 /// Counters: `fountain.symbols_sent`, `fountain.symbols_lost`,
 /// `fountain.blocks_decoded`, `fountain.source_unrecovered`,
 /// `fountain.header_malformed`, `fountain.frames_delivered`.
+///
+/// `Err` is returned only for invalid setup: a key the cipher rejects,
+/// channel probabilities outside `[0, 1]`, or a block geometry the LT codec
+/// rejects ([`PipelineError::InvalidCodec`]: a zero `symbol_len`, or a GOP
+/// needing more than 65,535 symbols).
 pub fn run_pipeline_fountain_metered(
     frames: &[InputFrame],
     config: &FountainConfig,
@@ -220,9 +225,7 @@ pub fn run_pipeline_fountain_metered(
     for (block_id, block) in blocks.iter().enumerate() {
         let block_id = block_id as u32;
         let encoder = BlockEncoder::new(&block.data, config.symbol_len, config.seed, block_id)
-            .map_err(|_| PipelineError::StagePanicked {
-                stage: "fountain-encoder",
-            })?;
+            .map_err(PipelineError::InvalidCodec)?;
         let k = encoder.k();
         let repair = (k as f64 * config.overhead).ceil() as usize;
         for symbol_id in 0..(k + repair) as u32 {
@@ -257,9 +260,7 @@ pub fn run_pipeline_fountain_metered(
                                 config.seed,
                                 h.block,
                             )
-                            .map_err(|_| PipelineError::StagePanicked {
-                                stage: "fountain-decoder",
-                            })?;
+                            .map_err(PipelineError::InvalidCodec)?;
                             decoders.entry(h.block).or_insert(d)
                         }
                     };
@@ -320,19 +321,16 @@ pub fn run_pipeline_fountain_metered(
             if entry.encrypted {
                 rx_cipher.decrypt_segment(entry.index as u64, &mut plaintext);
             }
-            match extract_payload(&plaintext, original) {
-                Some(payload) => {
-                    receiver.frames_ok.push(entry.index);
-                    delivered_counter.inc();
-                    delivered.insert(entry.index, payload);
-                }
-                None => receiver.frames_damaged.push(entry.index),
+            if frame_matches(&plaintext, original) {
+                receiver.frames_ok.push(entry.index);
+                delivered_counter.inc();
+                delivered.insert(entry.index, original.clone());
+            } else {
+                receiver.frames_damaged.push(entry.index);
             }
         }
     }
-    for _ in 0..source_unrecovered {
-        unrecovered_counter.inc();
-    }
+    unrecovered_counter.add(source_unrecovered);
 
     Ok(FountainOutcome {
         symbols_sent,
@@ -363,25 +361,13 @@ fn extract_range(dec: &PeelingDecoder, symbol_len: usize, entry: &FrameEntry) ->
     Some(bytes[start..start + entry.len].to_vec())
 }
 
-/// Whether an Annex-B frame byte string decodes to exactly the original
-/// NAL payload.
-fn frame_matches(annex_b: &[u8], original: &[u8]) -> bool {
-    matches!(parse_annex_b(annex_b).as_deref(), Ok([unit]) if unit.payload == original)
-}
-
-/// The decoded NAL payload, if it matches the original byte-for-byte.
-fn extract_payload(annex_b: &[u8], original: &[u8]) -> Option<Vec<u8>> {
-    match parse_annex_b(annex_b).ok()?.as_slice() {
-        [unit] if unit.payload == original => Some(unit.payload.clone()),
-        _ => None,
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use thrifty_analytic::policy::EncryptionMode;
     use thrifty_crypto::Algorithm;
+    use thrifty_fec::FecError;
 
     fn stream(n: usize) -> Vec<InputFrame> {
         (0..n)
@@ -461,6 +447,20 @@ mod tests {
         assert!(out.source_unrecovered > 0, "no repair + loss must erase symbols");
         assert!(out.receiver.frames_ok.len() < 40);
         assert!(!out.receiver.frames_damaged.is_empty());
+    }
+
+    #[test]
+    fn invalid_block_geometry_is_a_codec_error() {
+        let cfg = FountainConfig {
+            symbol_len: 0,
+            ..config(EncryptionMode::IFrames)
+        };
+        let err = run_pipeline_fountain(&stream(10), &cfg).expect_err("zero symbol length");
+        assert_eq!(err, PipelineError::InvalidCodec(FecError::ZeroSymbolLen));
+        assert_eq!(
+            err.to_string(),
+            "invalid fountain codec: fountain symbol length must be nonzero"
+        );
     }
 
     #[test]

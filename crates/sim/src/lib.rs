@@ -13,11 +13,11 @@
 //!   policy, transport) configuration run over multiple trials, producing
 //!   delay, PSNR, MOS and power rows directly comparable to the analytic
 //!   predictions.
-//! * [`pipeline`] — a *real-bytes* threaded testbed mirroring the Android
-//!   app's producer/consumer design (GPAC-style reader thread, encryptor,
-//!   RTP packetisation, channel, receiver + eavesdropper reconstruction)
-//!   using the actual ciphers and NAL bitstreams, built on crossbeam
-//!   channels and parking_lot locks.
+//! * [`pipeline`] — a *real-bytes* RTP/UDP testbed following the Android
+//!   app's Figure 3 stages (bounded queue, encryptor, RTP packetisation,
+//!   channel, receiver + eavesdropper reconstruction) with the actual
+//!   ciphers and NAL bitstreams, as one single-threaded loop over
+//!   per-stage seeded streams.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

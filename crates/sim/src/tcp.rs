@@ -24,13 +24,11 @@
 //! bit-reproducible from its arguments. An empty plan draws nothing and is
 //! transparent.
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use thrifty_analytic::policy::Policy;
 use thrifty_crypto::SegmentCipher;
-use thrifty_faults::{FaultPlan, FaultStats, FaultyChannel, QueueFaults, ReceiverFaults};
+use thrifty_faults::{FaultPlan, FaultStats, FaultyChannel, ReceiverFaults};
 use thrifty_net::tcp::TcpSegment;
 use thrifty_net::wire::{FragmentHeader, FRAG_HEADER_LEN};
 use thrifty_net::LossChannel;
@@ -38,7 +36,7 @@ use thrifty_telemetry::{Counter, MetricsRegistry};
 use thrifty_video::nal::write_annex_b;
 
 use crate::pipeline::{
-    reconstruct, AirChannel, AirLoss, Fragments, InputFrame, PipelineError, Reconstruction,
+    Admission, AirChannel, AirLoss, InputFrame, Observer, PipelineError, Reconstruction,
     SESSION_KEY, STALE_KEY,
 };
 
@@ -72,17 +70,19 @@ pub struct TcpOutcome {
 }
 
 /// The reliable link: each segment is retried over the faulty air until an
-/// attempt gets through, then handed to the plan's byte-mangling hook.
+/// attempt gets through, then handed to the plan's byte-mangling hook and
+/// on to the receiver.
 struct Link {
     air: FaultyChannel<AirLoss>,
     rng: StdRng,
     retransmissions: Counter,
     trace: Vec<(u32, u64)>,
+    rx: Observer,
 }
 
 impl Link {
-    /// Put one segment on the air; returns what reaches the receiver now.
-    fn send(&mut self, seq: u32, encrypted: bool, payload: Vec<u8>) -> Vec<Vec<u8>> {
+    /// Put one segment on the air.
+    fn send(&mut self, seq: u32, encrypted: bool, payload: Vec<u8>) {
         let wire = TcpSegment {
             src_port: PORT,
             dst_port: PORT,
@@ -98,49 +98,18 @@ impl Link {
             fails += 1;
         }
         self.trace.push((fails, wire.len() as u64));
-        self.air.mangle(wire)
+        let arrived = self.air.mangle(wire);
+        self.deliver(arrived);
     }
-}
 
-/// The receiving end: decrypts marked segments (with the stale key on a
-/// stale-key hit) and files their fragments for reassembly.
-struct Receiver {
-    cipher: SegmentCipher,
-    stale: SegmentCipher,
-    faults: ReceiverFaults,
-    erasures: u64,
-    store: Fragments,
-    totals: BTreeMap<usize, u16>,
-}
-
-impl Receiver {
-    fn deliver(&mut self, blob: Vec<u8>) {
-        let Ok(seg) = TcpSegment::parse(&blob) else {
-            self.erasures += 1;
-            return;
-        };
-        let mut payload = seg.payload;
-        if payload.len() < FRAG_HEADER_LEN {
-            self.erasures += 1;
-            return;
+    fn deliver(&mut self, arrived: Vec<Vec<u8>>) {
+        let rx = &mut self.rx;
+        for blob in arrived {
+            match TcpSegment::parse(&blob) {
+                Ok(seg) => rx.receive(seg.encrypted_marker, seg.seq.into(), seg.payload),
+                Err(_) => rx.malformed(),
+            }
         }
-        if seg.encrypted_marker {
-            let key = if self.faults.stale_hit() {
-                &self.stale
-            } else {
-                &self.cipher
-            };
-            key.decrypt_segment(seg.seq as u64, &mut payload[FRAG_HEADER_LEN..]);
-        }
-        let Ok((fh, body)) = FragmentHeader::parse(&payload) else {
-            self.erasures += 1;
-            return;
-        };
-        self.totals.insert(fh.frame as usize, fh.total);
-        self.store
-            .entry(fh.frame as usize)
-            .or_default()
-            .insert(fh.frag, body.to_vec());
     }
 }
 
@@ -166,30 +135,28 @@ pub fn run_pipeline_tcp(
         SegmentCipher::new(policy.algorithm, bytes).map_err(PipelineError::KeyRejected)
     };
     let cipher = key(&SESSION_KEY)?;
-    let mut rx = Receiver {
-        cipher: cipher.clone(),
-        stale: key(&STALE_KEY)?,
-        faults: ReceiverFaults::new(plan, metrics),
-        erasures: 0,
-        store: Fragments::new(),
-        totals: BTreeMap::new(),
-    };
     let mut link = Link {
         air: FaultyChannel::new(air, plan, TCP_HEADER_LEN, metrics),
         rng: StdRng::seed_from_u64(seed ^ 0x7C9),
         retransmissions: metrics.counter("net.tcp.retransmissions"),
         trace: Vec::new(),
+        // The receiver's decryptions go uncounted, as the sender's
+        // encryptions do: this transport bills only retransmissions and
+        // fault sites.
+        rx: Observer::receiver(
+            cipher.clone().metered(&MetricsRegistry::disabled()),
+            key(&STALE_KEY)?,
+            ReceiverFaults::new(plan, metrics),
+            None,
+        ),
     };
-    let mut queue = QueueFaults::new(plan, metrics);
-    let mut policy_rng = StdRng::seed_from_u64(seed);
+    let mut admission = Admission::new(policy, seed, plan, metrics);
     let mut frames_encrypted = Vec::new();
     let mut seq: u32 = 0;
     for frame in frames {
-        if !queue.admit() {
+        let Some(encrypt) = admission.admit(frame) else {
             continue; // dropped at the queue: never drawn, never sent
-        }
-        let unit: f64 = policy_rng.gen_range(0.0..1.0);
-        let encrypt = policy.mode.should_encrypt(frame.ftype, unit);
+        };
         if encrypt {
             frames_encrypted.push(frame.index);
         }
@@ -205,29 +172,21 @@ pub fn run_pipeline_tcp(
             if encrypt {
                 cipher.encrypt_segment(seq as u64, &mut payload[FRAG_HEADER_LEN..]);
             }
-            let arrived = link.send(seq, encrypt, payload); // lint:allow(plaintext-escape): selective encryption — policy-cleared frames ride plaintext by design; the encrypt draw above decides which segments met the cipher (paper Table 1)
-            for blob in arrived {
-                rx.deliver(blob);
-            }
+            link.send(seq, encrypt, payload); // lint:allow(plaintext-escape): selective encryption — policy-cleared frames ride plaintext by design; the encrypt draw above decides which segments met the cipher (paper Table 1)
             seq += 1;
         }
     }
-    for blob in link.air.drain() {
-        rx.deliver(blob);
-    }
+    let held = link.air.drain();
+    link.deliver(held);
 
-    let originals: BTreeMap<usize, Vec<u8>> = frames
-        .iter()
-        .map(|f| (f.index, f.nal.payload.clone()))
-        .collect();
     let mut faults = link.air.stats();
-    faults.merge(&queue.stats());
-    faults.merge(&rx.faults.stats());
+    faults.merge(&admission.stats());
+    faults.merge(&link.rx.report().0);
     Ok(TcpOutcome {
         segments_sent: link.trace.len(),
         frames_encrypted,
-        receiver: reconstruct(&originals, &rx.store, &rx.totals),
-        erasures: rx.erasures,
+        receiver: link.rx.frags.reconstruct(frames),
+        erasures: link.rx.erasures.total(),
         faults,
         trace: link.trace,
     })
@@ -236,7 +195,7 @@ pub fn run_pipeline_tcp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_pipeline_metered, PipelineConfig};
+    use crate::pipeline::{run_pipeline, PipelineConfig};
     use thrifty_analytic::policy::EncryptionMode;
     use thrifty_crypto::Algorithm;
     use thrifty_video::FrameType;
@@ -289,11 +248,7 @@ mod tests {
                             seed: 7,
                             ..PipelineConfig::default()
                         };
-                        let udp = run_pipeline_metered(
-                            input.clone(),
-                            config,
-                            &MetricsRegistry::disabled(),
-                        );
+                        let udp = run_pipeline(input.clone(), config);
                         assert_eq!(
                             out.frames_encrypted, udp.eavesdropper.frames_damaged,
                             "{mode:?}, {case}"

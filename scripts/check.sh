@@ -54,10 +54,11 @@ cmp "$tmp/metrics_a.json" "$tmp/metrics_b.json"
 ./target/release/reproduce table2 fig12 --no-bench-json > "$tmp/out_plain.txt"
 cmp "$tmp/out_a.txt" "$tmp/out_plain.txt"
 
-echo "==> fault-matrix smoke sweep (zero panics/deadlocks, bounded wall-clock)"
-# The binary exits non-zero on any guarantee violation (panic, deadlock,
-# non-reproducible cell, faulty run beating its clean twin); `timeout`
-# bounds a hung pipeline — a deadlock fails the gate as exit 124.
+echo "==> fault-matrix smoke sweep (zero panics, bounded wall-clock)"
+# The binary exits non-zero on any guarantee violation (panic,
+# non-reproducible cell, faulty run beating its clean twin); the transports
+# are single-threaded loops, so `timeout` bounds a hang in a retransmission
+# or resync loop — it fails the gate as exit 124.
 timeout 600 ./target/release/reproduce faults --no-bench-json > "$tmp/faults_a.txt"
 timeout 600 ./target/release/reproduce faults --no-bench-json > "$tmp/faults_b.txt"
 cmp "$tmp/faults_a.txt" "$tmp/faults_b.txt"
@@ -67,7 +68,7 @@ echo "==> fountain protocol-matrix smoke (self-verifying; double run must be byt
 # The binary exits non-zero on any self-check violation (a non-reproducible
 # cell, ΔPSNR below the lossless twin, a reliable-transport frame loss, or
 # the deep-fade goodput crossover failing to appear); `timeout` turns a
-# peeling or retransmission hang into exit 124.
+# hang in a peeling or retransmission loop into exit 124.
 timeout 600 ./target/release/reproduce fountain --no-bench-json > "$tmp/fountain_a.txt"
 timeout 600 ./target/release/reproduce fountain --no-bench-json > "$tmp/fountain_b.txt"
 cmp "$tmp/fountain_a.txt" "$tmp/fountain_b.txt"
@@ -77,8 +78,8 @@ echo "==> chaos soak smoke (self-verifying; double run must be byte-identical)"
 # The binary exits non-zero on any recover-gate violation (an unbounded
 # recovery episode, a controller flap, adaptive-RTO goodput below the
 # fixed-RTO baseline, a non-reproducible cell, or ΔPSNR regressing against
-# the clean twin); `timeout` turns a resync or retransmission hang into
-# exit 124.
+# the clean twin); `timeout` turns a hang in a resync or retransmission
+# loop into exit 124.
 timeout 600 ./target/release/reproduce chaos --quick --no-bench-json > "$tmp/chaos_a.txt"
 timeout 600 ./target/release/reproduce chaos --quick --no-bench-json > "$tmp/chaos_b.txt"
 cmp "$tmp/chaos_a.txt" "$tmp/chaos_b.txt"
