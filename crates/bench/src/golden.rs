@@ -10,8 +10,8 @@
 //! `scripts/bless.sh` after an *intentional* output change.
 
 use crate::{
-    ablation_percentiles, chaos_matrix, fault_matrix, fig2, fig4, fig5, fountain_matrix, headline,
-    table2, Effort, Table,
+    ablation_percentiles, chaos_matrix, fault_matrix, fig2, fig4, fig5, fleet_sweep,
+    fountain_matrix, headline, scale_sweep, table2, Effort, Table,
 };
 
 /// The fixed effort every golden figure is generated at — small enough for
@@ -38,6 +38,18 @@ pub fn golden_figures() -> Vec<(&'static str, Table)> {
         ("fountain_matrix", fountain_matrix(effort).0),
         ("fault_matrix", fault_matrix(effort).0),
         ("chaos_matrix", chaos_matrix(effort).0),
+        // The fleet sweep at its own 40-frame floor (cheaper than
+        // `golden_effort` in a debug build) and the scale path at the two
+        // sizes whose double-run check runs in-process.
+        (
+            "fleet_sweep",
+            fleet_sweep(Effort {
+                trials: 1,
+                frames: 40,
+            })
+            .0,
+        ),
+        ("fleet_scale_path", scale_sweep(&[1_000, 10_000]).0),
     ]
 }
 

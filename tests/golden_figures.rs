@@ -81,6 +81,8 @@ fn golden_snapshots_are_committed() {
         "fountain_matrix",
         "fault_matrix",
         "chaos_matrix",
+        "fleet_sweep",
+        "fleet_scale_path",
     ] {
         assert!(
             dir.join(format!("{name}.json")).is_file(),
