@@ -1,5 +1,5 @@
 //! The fleet scaling sweep (`reproduce fleet`): N concurrent uploaders on
-//! one AP, driven by the sharded engine of `thrifty-fleet`.
+//! one AP, driven by the N-flow engine of `thrifty-fleet`.
 //!
 //! Sweeps N ∈ {1, 2, 5, 10, 25, 50, 100} flows × three selection policies
 //! (full encryption, I-only, I+20 %P) and reports, per cell, the per-flow
@@ -10,7 +10,7 @@
 //!
 //! * **`single-sender ==`** — the N = 1 cell is *byte-identical* to the
 //!   existing single-sender path (plain [`ScenarioParams::calibrated`] +
-//!   sequential `SenderSim`, no cache, no shards, no merge);
+//!   `SenderSim`, no cache, no thread fan-out, no merge);
 //! * **`reproducible`** — every cell runs twice from the same seed with a
 //!   fresh cache and registry, and the two metered runs must agree bit for
 //!   bit (merged telemetry included);

@@ -29,7 +29,7 @@ pub mod matrix;
 pub mod throughput;
 
 /// The work-stealing map primitives now live in `thrifty-fleet` (the fleet
-/// engine shards flows through them); re-exported here so existing
+/// engine fans flows through them); re-exported here so existing
 /// `thrifty_bench::parallel::par_map` call sites keep compiling.
 pub use thrifty_fleet::parallel;
 

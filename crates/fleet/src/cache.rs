@@ -18,7 +18,7 @@
 //! evictions past the capacity bound increment [`SolveCache::EVICTIONS`].
 //! Computation happens **under the map lock**, so concurrent first lookups
 //! of a key serialise: exactly one miss per distinct key, no matter how
-//! many shard threads race — which keeps the counters (and therefore the
+//! many flow threads race — which keeps the counters (and therefore the
 //! metered snapshot) bit-reproducible. Because solves are pure, the
 //! capacity bound can change *when* work happens but never *what* any
 //! caller gets back — figure values are capacity-invariant by

@@ -1,4 +1,4 @@
-//! The sharded N-flow engine.
+//! The N-flow engine.
 //!
 //! One [`FleetEngine`] run simulates `n_flows` uploaders pushing the same
 //! reference clip through one AP, all starting at t = 0 on the shared sim
@@ -6,14 +6,12 @@
 //! eqs. 4–9): the **live station count** — `background_stations + n_flows`
 //! — feeds the Bianchi DCF fixed point, and the resulting `(p_s, λ_b)`
 //! parameterises every flow's per-packet backoff as well as the analytic
-//! prediction. Flows are partitioned into contiguous shards fanned across
-//! threads with [`par_map`]; each shard drains its flows as state machines
-//! on one `thrifty-des` calendar keyed by global flow id, each flow draws
-//! from its own [`flow_rng`] stream and owns its own `MetricsRegistry`,
-//! and the final merge walks flows in fixed flow-id order — so the result
-//! is bit-identical across invocations *and* across shard counts, and
-//! bit-identical to the retained sequential loop
-//! ([`FleetEngine::run_reference`]).
+//! prediction. That operating point is solved once, before any packet
+//! moves, so no flow ever reads another flow's state: each flow runs the
+//! plain [`SenderSim`] loop on its own [`flow_rng`] stream into its own
+//! `MetricsRegistry`, flows fan across threads with [`par_map`], and the
+//! merge walks them in flow-id order — so the result is bit-identical
+//! across invocations and thread counts.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,12 +20,10 @@ use thrifty_analytic::params::{
     DeviceSpec, ScenarioParams, DEFAULT_CHANNEL_PER, SAMSUNG_GALAXY_S2,
 };
 use thrifty_analytic::policy::Policy;
-use thrifty_des::Executor;
 use thrifty_net::dcf::{DcfModel, PhyParams};
 use thrifty_sim::sender::{SenderSim, SenderSummary};
 use thrifty_telemetry::{MetricsRegistry, Snapshot};
 use thrifty_video::encoder::{EncodedStream, StatisticalEncoder};
-use thrifty_video::packet::Packetizer;
 use thrifty_video::motion::MotionLevel;
 use thrifty_video::quality::{measure_quality, RefreshingDecoder};
 use thrifty_video::scene::{SceneConfig, SceneGenerator};
@@ -60,9 +56,6 @@ pub struct FleetConfig {
     pub resolution: Resolution,
     /// Master RNG seed; flow `f` draws from `flow_rng(seed, f)`.
     pub seed: u64,
-    /// Shard count for the thread fan-out; `0` picks a default. Results
-    /// are invariant to this value.
-    pub shards: usize,
 }
 
 impl FleetConfig {
@@ -81,7 +74,6 @@ impl FleetConfig {
             frames: 120,
             resolution: Resolution::QCIF,
             seed: 7,
-            shards: 0,
         }
     }
 
@@ -90,17 +82,12 @@ impl FleetConfig {
     pub fn stations(&self) -> usize {
         self.background_stations + self.n_flows
     }
-
-    fn effective_shards(&self) -> usize {
-        let requested = if self.shards == 0 { 8 } else { self.shards };
-        requested.min(self.n_flows).max(1)
-    }
 }
 
 /// What happened to one flow of the fleet.
 #[derive(Debug, Clone)]
 pub struct FlowOutcome {
-    /// Flow id (0-based, stable across shard counts).
+    /// Flow id (0-based).
     pub flow: usize,
     /// Packets the flow transmitted.
     pub packets: usize,
@@ -275,59 +262,28 @@ impl FleetEngine {
         &self.config
     }
 
-    /// Contiguous ascending shard ranges, so flattening shard outputs
-    /// yields flow-id order without a sort.
-    fn shard_ranges(&self) -> Vec<std::ops::Range<usize>> {
-        let n = self.config.n_flows;
-        let shard_count = self.config.effective_shards();
-        let per_shard = n.div_ceil(shard_count);
-        (0..shard_count)
-            .map(|s| (s * per_shard).min(n)..((s + 1) * per_shard).min(n))
-            .filter(|r| !r.is_empty())
-            .collect()
-    }
-
-    /// Run every flow, fanning contiguous shards across threads, and merge
+    /// Run every flow, fanning them across threads, and merge
     /// deterministically. `metrics` receives the cell-level counters (cache
     /// hits/misses, flow count); each flow's spans and histograms land in
     /// its own snapshot and merge in flow-id order.
-    ///
-    /// Since the calendar port each shard is one discrete-event drain: the
-    /// shard's flows become [`thrifty_sim::sender::SenderFlowMachine`]s on
-    /// one `thrifty-des` calendar (keyed by **global** flow id), and events
-    /// interleave across the shard's flows in global sim-time order. Each
-    /// machine draws only from its own [`flow_rng`] stream and writes only
-    /// its own registry, so the result is bit-identical to the retained
-    /// per-flow loop ([`run_reference`](Self::run_reference)) — a relation
-    /// the engine tests assert for N ∈ {1, 2, 5}.
     pub fn run(&self, cache: &SolveCache, metrics: &MetricsRegistry) -> FleetResult {
-        let shards = self.shard_ranges();
         metrics.counter("fleet.flows").add(self.config.n_flows as u64);
-        metrics.counter("fleet.shards").add(shards.len() as u64);
-        let shard_runs: Vec<Vec<FlowRun>> =
-            par_map(&shards, |range| self.run_shard(range.clone(), cache, metrics));
-        self.merge(shard_runs, cache, metrics)
-    }
-
-    /// The retained pre-calendar fleet path: identical shard partition and
-    /// merge, but every flow runs the legacy sequential per-packet loop.
-    /// Kept as the oracle [`run`](Self::run) is proven against.
-    pub fn run_reference(&self, cache: &SolveCache, metrics: &MetricsRegistry) -> FleetResult {
-        let shards = self.shard_ranges();
-        metrics.counter("fleet.flows").add(self.config.n_flows as u64);
-        metrics.counter("fleet.shards").add(shards.len() as u64);
-        let shard_runs: Vec<Vec<FlowRun>> = par_map(&shards, |range| {
-            range
-                .clone()
-                .map(|flow| self.run_flow_reference(flow, cache, metrics))
-                .collect()
+        let flows: Vec<usize> = (0..self.config.n_flows).collect();
+        let runs = par_map(&flows, |&flow| {
+            let (params, mut rng, registry) = self.flow_setup(flow, cache, metrics);
+            let summary = SenderSim::new(&params, self.config.policy).run_metered(
+                &self.stream,
+                &mut rng,
+                &registry,
+            );
+            self.outcome_of(flow, &summary, registry.snapshot())
         });
-        self.merge(shard_runs, cache, metrics)
+        self.merge(runs, cache, metrics)
     }
 
     fn merge(
         &self,
-        shard_runs: Vec<Vec<FlowRun>>,
+        runs: Vec<FlowRun>,
         cache: &SolveCache,
         metrics: &MetricsRegistry,
     ) -> FleetResult {
@@ -338,7 +294,7 @@ impl FleetEngine {
         let mut delivered_bits = 0.0f64;
         let mut makespan = 0.0f64;
         let mut psnr_sum = 0.0f64;
-        for run in shard_runs.into_iter().flatten() {
+        for run in runs {
             all_delays.extend_from_slice(&run.delays);
             merged.merge(&run.outcome.snapshot);
             delivered_bits += run.outcome.throughput_bps * run.outcome.duration_s;
@@ -373,9 +329,8 @@ impl FleetEngine {
         }
     }
 
-    /// Per-flow cache traffic and stream setup, shared by both paths: the
-    /// same three solve queries the legacy loop issued per flow (all hits
-    /// after warm-up — nothing here re-solves), the flow's calibrated
+    /// Per-flow cache traffic and stream setup: three solve queries (all
+    /// hits after warm-up — nothing here re-solves), the flow's calibrated
     /// parameters with the cell's DCF operating point written in
     /// explicitly — so the coupling "live station count → every flow's
     /// backoff" stays visible in the flow setup itself — and the flow's
@@ -395,69 +350,6 @@ impl FleetEngine {
         let mut params = self.params.clone();
         params.dcf = dcf;
         (params, flow_rng(cfg.seed, flow), MetricsRegistry::enabled())
-    }
-
-    /// One shard as a discrete-event drain: build a [`SenderFlowMachine`]
-    /// per flow (drawing each flow's arrival process from its own stream,
-    /// in flow order — exactly what the sequential loop drew first), then
-    /// run them all on one calendar keyed by global flow id.
-    ///
-    /// [`SenderFlowMachine`]: thrifty_sim::sender::SenderFlowMachine
-    fn run_shard(
-        &self,
-        range: std::ops::Range<usize>,
-        cache: &SolveCache,
-        metrics: &MetricsRegistry,
-    ) -> Vec<FlowRun> {
-        let cfg = &self.config;
-        let mut params_v = Vec::with_capacity(range.len());
-        let mut rngs = Vec::with_capacity(range.len());
-        let mut registries = Vec::with_capacity(range.len());
-        for flow in range.clone() {
-            let (params, rng, registry) = self.flow_setup(flow, cache, metrics);
-            params_v.push(params);
-            rngs.push(rng);
-            registries.push(registry);
-        }
-        // One packetization per shard; it is a pure function of the shared
-        // stream, so every flow sees identical packets.
-        let packets = Packetizer::default().packetize(&self.stream);
-        let machines = params_v
-            .iter()
-            .zip(rngs.iter_mut())
-            .zip(registries.iter())
-            .map(|((params, rng), registry)| {
-                SenderSim::new(params, cfg.policy)
-                    .flow_machine(&self.stream, &packets, rng, registry)
-            })
-            .collect();
-        let mut exec = Executor::new(machines, range.start as u64);
-        exec.run(&mut ());
-        exec.into_machines()
-            .into_iter()
-            .zip(range)
-            .zip(registries.iter())
-            .map(|((machine, flow), registry)| {
-                self.outcome_of(flow, &machine.finish(), registry.snapshot())
-            })
-            .collect()
-    }
-
-    /// One flow through the retained sequential loop — the pre-calendar
-    /// hot path, kept verbatim for [`run_reference`](Self::run_reference).
-    fn run_flow_reference(
-        &self,
-        flow: usize,
-        cache: &SolveCache,
-        metrics: &MetricsRegistry,
-    ) -> FlowRun {
-        let (params, mut rng, registry) = self.flow_setup(flow, cache, metrics);
-        let summary = SenderSim::new(&params, self.config.policy).run_metered_reference(
-            &self.stream,
-            &mut rng,
-            &registry,
-        );
-        self.outcome_of(flow, &summary, registry.snapshot())
     }
 
     fn outcome_of(&self, flow: usize, summary: &SenderSummary, snapshot: Snapshot) -> FlowRun {
@@ -495,14 +387,12 @@ impl FleetEngine {
     }
 }
 
-/// The **pre-fleet, pre-calendar single-sender path**, bypassing every
-/// fleet mechanism: plain [`ScenarioParams::calibrated`] (which runs its
-/// own DCF solve), the sequential legacy [`SenderSim`] loop on
-/// `flow_rng(seed, 0)`, no cache, no shards, no calendar, no merge.
-/// `reproduce fleet` asserts the engine's N = 1 cell — which runs
-/// event-driven — reproduces this outcome bit for bit, making the gate a
-/// standing equivalence proof between the two execution engines at the
-/// full paper configuration.
+/// The **pre-fleet single-sender path**, bypassing every fleet
+/// mechanism: plain [`ScenarioParams::calibrated`] (which runs its own DCF
+/// solve), the [`SenderSim`] loop on `flow_rng(seed, 0)`, no cache, no
+/// thread fan-out, no merge. `reproduce fleet` asserts the engine's N = 1
+/// cell reproduces this outcome bit for bit, at the full paper
+/// configuration.
 pub fn single_sender_reference(config: &FleetConfig) -> FlowOutcome {
     let params = ScenarioParams::calibrated(
         config.motion,
@@ -525,7 +415,7 @@ pub fn single_sender_reference(config: &FleetConfig) -> FlowOutcome {
     let registry = MetricsRegistry::enabled();
     let mut rng = flow_rng(config.seed, 0);
     let summary =
-        SenderSim::new(&params, config.policy).run_metered_reference(&stream, &mut rng, &registry);
+        SenderSim::new(&params, config.policy).run_metered(&stream, &mut rng, &registry);
 
     // Same scoring arithmetic as the engine, restated independently.
     let engine = FleetEngine {
@@ -570,43 +460,6 @@ mod tests {
             fleet.flows[0].mean_delay_s,
             reference.mean_delay_s
         );
-    }
-
-    #[test]
-    fn event_engine_matches_reference_engine() {
-        // The calendar drain against the retained sequential loop, at the
-        // flow counts the issue pins: every flow, every aggregate and the
-        // merged snapshot bit-identical.
-        for n in [1usize, 2, 5] {
-            let cfg = small(n);
-            let run_with = |event: bool| {
-                let cache = SolveCache::new();
-                let metrics = MetricsRegistry::enabled();
-                let engine = FleetEngine::prepare(cfg, &cache, &metrics);
-                if event {
-                    engine.run(&cache, &metrics)
-                } else {
-                    engine.run_reference(&cache, &metrics)
-                }
-            };
-            let event = run_with(true);
-            let reference = run_with(false);
-            assert!(
-                event.bit_identical(&reference),
-                "event vs reference diverged at N={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_count_does_not_change_results() {
-        let mut a_cfg = small(6);
-        a_cfg.shards = 1;
-        let mut b_cfg = small(6);
-        b_cfg.shards = 3;
-        let a = run(a_cfg);
-        let b = run(b_cfg);
-        assert!(a.bit_identical(&b), "sharding changed the outcome");
     }
 
     #[test]

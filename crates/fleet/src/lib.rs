@@ -14,7 +14,7 @@
 //!
 //! * **Deterministic per-flow RNG streams** — each flow's draws derive from
 //!   `(master seed, flow id)` alone via the FNV-1a + SplitMix64 discipline
-//!   of `thrifty-faults`, so adding flows or changing the shard count never
+//!   of `thrifty-faults`, so adding flows or changing the thread count never
 //!   perturbs another flow's trajectory.
 //! * **Memoized solves** — DCF fixed points, 2-MMPP/G/1 delay predictions
 //!   and n-state [`MmppNG1`] solutions are cached per
@@ -24,7 +24,7 @@
 //! * **Bit-reproducible metered runs** — every flow owns its own
 //!   `MetricsRegistry`; snapshots merge in fixed flow-id order, so an
 //!   N-flow metered run is byte-identical across invocations and across
-//!   shard counts.
+//!   thread counts.
 //!
 //! With `n_flows = 1` and the default background of 4 stations the engine
 //! reproduces the existing single-sender experiment path (5 contending

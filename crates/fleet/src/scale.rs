@@ -37,17 +37,15 @@
 //! `BENCH_fleet.json`.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use thrifty_analytic::params::{DeviceSpec, ScenarioParams, SAMSUNG_GALAXY_S2};
 use thrifty_analytic::policy::Policy;
-use thrifty_des::{EventKey, Executor, FlowMachine, Schedule, SimTime};
 use thrifty_net::dcf::{DcfModel, PhyParams};
-use thrifty_sim::sender::{exponential, gaussian};
+use thrifty_sim::sender::{GopArrivals, ServiceModel};
 use thrifty_telemetry::MetricsRegistry;
-use thrifty_video::encoder::{EncodedStream, StatisticalEncoder};
+use thrifty_video::encoder::StatisticalEncoder;
 use thrifty_video::motion::MotionLevel;
 use thrifty_video::packet::{Packetizer, VideoPacket};
-use thrifty_video::FrameType;
 
 use crate::cache::SolveCache;
 use crate::parallel::par_map;
@@ -186,124 +184,25 @@ impl DelayHistogram {
     }
 }
 
-/// The calibrated constants every scale flow shares (one copy per engine,
-/// borrowed by every machine).
-#[derive(Debug, Clone, Copy)]
-struct ScaleConsts {
-    policy: Policy,
-    delivery: f64,
-    cost: thrifty_crypto::CostModel,
-    jitter: f64,
-    p_s: f64,
-    backoff_rate: f64,
-    phy: PhyParams,
-    lambda1: f64,
-    lambda2: f64,
-    gop_period: f64,
-    gop_size: usize,
-}
-
-/// One lean flow: two RNG substreams, the arrival cursor and the Lindley
-/// accumulator — every field O(1) in clip length and fleet size.
-struct ScaleFlow<'a> {
-    consts: &'a ScaleConsts,
-    packets: &'a [VideoPacket],
-    arrival_rng: StdRng,
-    service_rng: StdRng,
-    /// Arrival-process cursor (lazy replay of the classic batch generator).
-    t: f64,
-    last_gop: usize,
-    queue_clear_at: f64,
-    packets_done: u64,
+/// One flow's totals, folded across flows in flow-id order after the run.
+#[derive(Default)]
+struct FlowTotals {
+    packets: u64,
     delivered: u64,
     delivered_bits: f64,
     sum_delay: f64,
-    sum_enc: f64,
+    /// When the flow's server frees up (Lindley state); after the last
+    /// packet, the flow's transfer duration.
+    queue_clear_at: f64,
 }
 
-impl ScaleFlow<'_> {
-    /// The classic arrival generator, one step at a time: GOP slot floor,
-    /// then an exponential gap at the frame class's MMPP rate.
-    fn arrival_for(&mut self, i: usize) -> f64 {
-        let pkt = &self.packets[i];
-        let c = self.consts;
-        let gop = pkt.frame_index / c.gop_size;
-        if gop != self.last_gop {
-            self.t = self.t.max(gop as f64 * c.gop_period);
-            self.last_gop = gop;
-        }
-        let rate = match pkt.ftype {
-            FrameType::I => c.lambda1,
-            FrameType::P => c.lambda2,
-        };
-        self.t += exponential(&mut self.arrival_rng, rate);
-        self.t
-    }
-}
-
-impl FlowMachine for ScaleFlow<'_> {
-    type Event = ();
-    type Ctx = DelayHistogram;
-
-    fn start(&mut self, sched: &mut Schedule<'_, ()>, _hist: &mut DelayHistogram) {
-        if !self.packets.is_empty() {
-            let t = self.arrival_for(0);
-            sched.at(SimTime::from_s(t), 0, ());
-        }
-    }
-
-    fn on_event(
-        &mut self,
-        key: EventKey,
-        _event: (),
-        sched: &mut Schedule<'_, ()>,
-        hist: &mut DelayHistogram,
-    ) {
-        let i = key.seq as usize;
-        let pkt = &self.packets[i];
-        let arrival = key.time.as_s();
-        let c = self.consts;
-
-        // The per-packet pipeline of `PipelineCore::step`, sans telemetry
-        // and record-keeping, drawing from the flow's service substream.
-        let unit: f64 = self.service_rng.gen_range(0.0..1.0);
-        let encrypted = c.policy.mode.should_encrypt(pkt.ftype, unit);
-        let enc_time = if encrypted {
-            gaussian(
-                &mut self.service_rng,
-                c.cost.mean_time(pkt.bytes),
-                c.jitter * c.cost.mean_time(pkt.bytes),
-            )
-        } else {
-            0.0
-        };
-        let mut backoff = 0.0;
-        while !self.service_rng.gen_bool(c.p_s) {
-            backoff += exponential(&mut self.service_rng, c.backoff_rate);
-        }
-        let tx_mean = c.phy.tx_time_s(pkt.bytes + 40);
-        let tx = gaussian(&mut self.service_rng, tx_mean, c.jitter * tx_mean);
-        let service = enc_time + backoff + tx;
-
-        let start = self.queue_clear_at.max(arrival);
-        let wait = start - arrival;
-        self.queue_clear_at = start + service;
-        let delivered = self.service_rng.gen_bool(c.delivery);
-
-        self.packets_done += 1;
-        self.sum_delay += wait + service;
-        self.sum_enc += enc_time;
-        if delivered {
-            self.delivered += 1;
-            self.delivered_bits += pkt.bytes as f64 * 8.0;
-        }
-        hist.record(wait + service);
-
-        if i + 1 < self.packets.len() {
-            let t = self.arrival_for(i + 1);
-            sched.at(SimTime::from_s(t), key.seq + 1, ());
-        }
-    }
+/// One shard's output: its flows' totals in flow-id order, the shard's
+/// delay histogram and its packet-step count.
+#[derive(Default)]
+struct Shard {
+    flows: Vec<FlowTotals>,
+    hist: DelayHistogram,
+    steps: u64,
 }
 
 /// Aggregate outcome of one scale cell.
@@ -358,7 +257,9 @@ impl ScaleResult {
 /// one coded stream and one packetization shared (immutably) by every flow.
 pub struct ScaleEngine {
     config: ScaleConfig,
-    consts: ScaleConsts,
+    /// The arrival cursor at t = 0, copied into every flow.
+    arrivals: GopArrivals,
+    service: ServiceModel,
     packets: Vec<VideoPacket>,
 }
 
@@ -386,36 +287,11 @@ impl ScaleEngine {
         let stream =
             StatisticalEncoder::new(config.motion, config.gop_size).encode(config.frames, &mut rng);
         let packets = Packetizer::default().packetize(&stream);
-        let consts = Self::consts_of(&config, &params, &stream, packets.len());
         ScaleEngine {
             config,
-            consts,
+            arrivals: GopArrivals::new(&params, &stream, packets.len()),
+            service: ServiceModel::new(&params, config.policy),
             packets,
-        }
-    }
-
-    /// The same derived constants the classic `PipelineCore` / arrival
-    /// generator compute, hoisted out of the per-flow hot path.
-    fn consts_of(
-        config: &ScaleConfig,
-        params: &ScenarioParams,
-        stream: &EncodedStream,
-        n_packets: usize,
-    ) -> ScaleConsts {
-        let natural_rate = n_packets as f64 / stream.duration_s();
-        let speedup = params.mmpp.mean_rate() / natural_rate;
-        ScaleConsts {
-            policy: config.policy,
-            delivery: params.delivery_rate(),
-            cost: params.cost_model(config.policy.algorithm),
-            jitter: params.jitter_rel,
-            p_s: params.dcf.packet_success_rate,
-            backoff_rate: params.dcf.backoff_rate_hz,
-            phy: params.phy,
-            lambda1: params.mmpp.lambda1,
-            lambda2: params.mmpp.lambda2,
-            gop_period: stream.gop_size as f64 / stream.fps / speedup,
-            gop_size: stream.gop_size,
         }
     }
 
@@ -429,10 +305,10 @@ impl ScaleEngine {
         self.packets.len()
     }
 
-    /// Run the fleet: contiguous shards across threads, one calendar per
-    /// shard, per-flow `f64` sums folded in global flow-id order and
-    /// histograms merged with integer adds — bit-identical across runs and
-    /// shard counts.
+    /// Run the fleet: contiguous shards across threads, each stepping its
+    /// flows one at a time in flow-id order; per-flow `f64` sums folded in
+    /// global flow-id order and histograms merged with integer adds —
+    /// bit-identical across runs and shard counts.
     pub fn run(&self) -> ScaleResult {
         let cfg = &self.config;
         let n = cfg.n_flows;
@@ -443,50 +319,12 @@ impl ScaleEngine {
             .filter(|r| !r.is_empty())
             .collect();
 
-        struct ShardOut {
-            sums: Vec<(u64, u64, f64, f64, f64, f64)>,
-            hist: DelayHistogram,
-            events: u64,
-        }
-        let shard_outs: Vec<ShardOut> = par_map(&shards, |range| {
-            let machines: Vec<ScaleFlow<'_>> = range
-                .clone()
-                .map(|flow| ScaleFlow {
-                    consts: &self.consts,
-                    packets: &self.packets,
-                    arrival_rng: flow_substream(cfg.seed, flow as u64, "scale.arrivals"),
-                    service_rng: flow_substream(cfg.seed, flow as u64, "scale.service"),
-                    t: 0.0,
-                    last_gop: usize::MAX,
-                    queue_clear_at: 0.0,
-                    packets_done: 0,
-                    delivered: 0,
-                    delivered_bits: 0.0,
-                    sum_delay: 0.0,
-                    sum_enc: 0.0,
-                })
-                .collect();
-            let mut exec = Executor::new(machines, range.start as u64);
-            let mut hist = DelayHistogram::default();
-            let events = exec.run(&mut hist);
-            ShardOut {
-                sums: exec
-                    .into_machines()
-                    .into_iter()
-                    .map(|m| {
-                        (
-                            m.packets_done,
-                            m.delivered,
-                            m.delivered_bits,
-                            m.sum_delay,
-                            m.sum_enc,
-                            m.queue_clear_at,
-                        )
-                    })
-                    .collect(),
-                hist,
-                events,
+        let shard_outs: Vec<Shard> = par_map(&shards, |range| {
+            let mut shard = Shard::default();
+            for flow in range.clone() {
+                self.run_flow(flow, &mut shard);
             }
+            shard
         });
 
         // Fold in global flow-id order (shards are contiguous ascending
@@ -499,14 +337,14 @@ impl ScaleEngine {
         let mut makespan = 0.0f64;
         let mut hist = DelayHistogram::default();
         for out in &shard_outs {
-            events += out.events;
+            events += out.steps;
             hist.merge(&out.hist);
-            for &(p, d, bits, delay, _enc, duration) in &out.sums {
-                packets += p;
-                delivered += d;
-                delivered_bits += bits;
-                sum_delay += delay;
-                makespan = makespan.max(duration);
+            for f in &out.flows {
+                packets += f.packets;
+                delivered += f.delivered;
+                delivered_bits += f.delivered_bits;
+                sum_delay += f.sum_delay;
+                makespan = makespan.max(f.queue_clear_at);
             }
         }
         ScaleResult {
@@ -523,6 +361,32 @@ impl ScaleEngine {
             aggregate_throughput_bps: delivered_bits / makespan.max(f64::MIN_POSITIVE),
             histogram: hist,
         }
+    }
+
+    /// Step one flow's packets in wire order: each packet's arrival from
+    /// the flow's arrival substream, then its service draw and Lindley
+    /// update from the service substream.
+    fn run_flow(&self, flow: usize, shard: &mut Shard) {
+        let seed = self.config.seed;
+        let mut arrival_rng = flow_substream(seed, flow as u64, "scale.arrivals");
+        let mut service_rng = flow_substream(seed, flow as u64, "scale.service");
+        let mut arrivals = self.arrivals;
+        let mut totals = FlowTotals::default();
+        for pkt in &self.packets {
+            let arrival = arrivals.next(pkt, &mut arrival_rng);
+            let step =
+                self.service
+                    .step(&mut totals.queue_clear_at, pkt, arrival, &mut service_rng);
+            totals.packets += 1;
+            totals.sum_delay += step.delay_s();
+            if step.delivered {
+                totals.delivered += 1;
+                totals.delivered_bits += pkt.bytes as f64 * 8.0;
+            }
+            shard.hist.record(step.delay_s());
+            shard.steps += 1;
+        }
+        shard.flows.push(totals);
     }
 }
 

@@ -74,17 +74,17 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: DET_WALL_CLOCK,
         tier: "determinism",
-        summary: "SystemTime/Instant::now in sim, fleet, des, fec, queueing, telemetry, recover, crypto or bench non-test code",
+        summary: "SystemTime/Instant::now in sim, fleet, fec, queueing, telemetry, recover, crypto or bench non-test code",
     },
     RuleInfo {
         name: DET_THREAD_RNG,
         tier: "determinism",
-        summary: "ambient thread_rng in sim, fleet, des, fec, queueing, telemetry, recover, crypto or bench non-test code",
+        summary: "ambient thread_rng in sim, fleet, fec, queueing, telemetry, recover, crypto or bench non-test code",
     },
     RuleInfo {
         name: DET_HASH_COLLECTIONS,
         tier: "determinism",
-        summary: "HashMap/HashSet (hash-ordered iteration) in sim, fleet, des, fec, queueing, telemetry, recover, crypto or bench non-test code",
+        summary: "HashMap/HashSet (hash-ordered iteration) in sim, fleet, fec, queueing, telemetry, recover, crypto or bench non-test code",
     },
     RuleInfo {
         name: PANIC_UNWRAP,
@@ -171,7 +171,6 @@ const DET_CRATES: &[&str] = &[
     "queueing",
     "telemetry",
     "bench",
-    "des",
     "fec",
     "recover",
     "crypto",

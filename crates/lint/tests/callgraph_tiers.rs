@@ -218,7 +218,7 @@ fn consistent_lock_order_with_explicit_drops_is_clean() {
 #[test]
 fn lock_inversion_is_found_across_function_boundaries() {
     let report = scan(&[(
-        "crates/des/src/locks_fixture.rs",
+        "crates/fleet/src/locks_fixture.rs",
         "//! Fixture.\n\
          pub struct E {\n\
              m: Mutex<u32>,\n\

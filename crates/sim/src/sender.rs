@@ -13,7 +13,6 @@
 use rand::Rng;
 use thrifty_analytic::params::ScenarioParams;
 use thrifty_analytic::policy::Policy;
-use thrifty_des::{EventKey, Executor, FlowMachine, Schedule, SimTime};
 use thrifty_net::capture::{CapturedPacket, PacketCapture};
 use thrifty_video::encoder::EncodedStream;
 use thrifty_video::packet::{Packetizer, VideoPacket};
@@ -159,14 +158,10 @@ impl<'a> SenderSim<'a> {
     /// Run the pipeline, reporting per-stage spans and counters into
     /// `metrics`.
     ///
-    /// Since the calendar port this is the **event-driven** path: the run
-    /// builds one [`SenderFlowMachine`] and drains it on a private
-    /// `thrifty-des` calendar — each packet is one event, dispatched at its
-    /// effective arrival time. The machine steps the same [`PipelineCore`]
-    /// the retained reference loop
-    /// ([`run_metered_reference`](Self::run_metered_reference)) steps, so
-    /// the two paths share every RNG draw and every arithmetic operation
-    /// and produce bit-identical summaries.
+    /// The run draws the flow's whole arrival process from `rng` first,
+    /// then steps the packets in wire order through one
+    /// [`ServiceModel::step`] each — the same per-packet draw the fleet's
+    /// scale path steps.
     ///
     /// Every packet contributes one interval to each of the `Enqueue`,
     /// `Encrypt`, `DcfBackoff` and `Transmit` spans, and those four
@@ -180,188 +175,206 @@ impl<'a> SenderSim<'a> {
         rng: &mut R,
         metrics: &thrifty_telemetry::MetricsRegistry,
     ) -> SenderSummary {
+        use thrifty_telemetry::Stage;
         let packets = Packetizer::default().packetize(stream);
-        let machine = self.flow_machine(stream, &packets, rng, metrics);
-        let mut exec = Executor::new(vec![machine], 0);
-        exec.run(&mut ());
-        let machine = exec
-            .into_machines()
-            .pop()
-            .expect("executor was built with exactly one machine");
-        machine.finish()
-    }
-
-    /// The retained per-packet loop — the pre-calendar implementation, kept
-    /// as the oracle the event-driven path is proven against (see the
-    /// `event_run_matches_reference_*` tests and the fleet engine's
-    /// `run_reference`). Identical draws, identical arithmetic, no
-    /// calendar.
-    pub fn run_metered_reference<R: Rng + ?Sized>(
-        &self,
-        stream: &EncodedStream,
-        rng: &mut R,
-        metrics: &thrifty_telemetry::MetricsRegistry,
-    ) -> SenderSummary {
-        let packets = Packetizer::default().packetize(stream);
-        let arrivals = self.arrival_times(&packets, stream, rng);
-        let mut core = PipelineCore::new(self, metrics, packets.len());
-        for (pkt, &nominal_arrival) in packets.iter().zip(arrivals.iter()) {
-            let arrival = core.effective_arrival(nominal_arrival);
-            core.step(pkt, arrival, rng);
-        }
-        core.finish()
-    }
-
-    /// Build this sender as a [`FlowMachine`] for an external calendar.
-    ///
-    /// Draws the flow's arrival process from `rng` up front (exactly what
-    /// the reference loop draws first), then yields a machine that replays
-    /// one packet per event. The fleet engine schedules many of these on
-    /// one per-shard calendar; because each machine draws only from its own
-    /// `rng` and writes only to its own `metrics`, interleaving flows on
-    /// the global clock changes no per-flow result bit.
-    pub fn flow_machine<'m, R: Rng + ?Sized>(
-        &self,
-        stream: &EncodedStream,
-        packets: &'m [VideoPacket],
-        rng: &'m mut R,
-        metrics: &'m thrifty_telemetry::MetricsRegistry,
-    ) -> SenderFlowMachine<'m, R> {
-        let arrivals = self.arrival_times(packets, stream, rng);
-        let core = PipelineCore::new(self, metrics, packets.len());
-        SenderFlowMachine {
-            core,
-            packets,
-            arrivals,
-            rng,
-        }
-    }
-
-    /// Stream-structured arrival times: per GOP, an I-fragment burst at the
-    /// disk rate followed by P packets paced at the read rate — the process
-    /// the 2-MMPP of Section 4.2.1 models.
-    fn arrival_times<R: Rng + ?Sized>(
-        &self,
-        packets: &[VideoPacket],
-        stream: &EncodedStream,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        let mmpp = &self.params.mmpp;
-        // The calibrated read speedup is implied by the MMPP's mean rate
-        // relative to the stream's natural (real-time) packet rate; the
-        // producer's GOP slot shrinks by the same factor.
-        let natural_rate = packets.len() as f64 / stream.duration_s();
-        let speedup = mmpp.mean_rate() / natural_rate;
-        let gop_period = stream.gop_size as f64 / stream.fps / speedup;
-        let mut t = 0.0f64;
-        let mut last_gop = usize::MAX;
-        let mut times = Vec::with_capacity(packets.len());
-        for pkt in packets {
-            let gop = pkt.frame_index / stream.gop_size;
-            if gop != last_gop {
-                // Producer starts reading this GOP no earlier than its slot.
-                t = t.max(gop as f64 * gop_period);
-                last_gop = gop;
-            }
-            let rate = match pkt.ftype {
-                FrameType::I => mmpp.lambda1,
-                FrameType::P => mmpp.lambda2,
+        let mut cursor = GopArrivals::new(self.params, stream, packets.len());
+        let arrivals: Vec<f64> = packets.iter().map(|pkt| cursor.next(pkt, rng)).collect();
+        let service = ServiceModel::new(self.params, self.policy);
+        // Counter handles are acquired once; per-packet cost is a relaxed
+        // atomic add (nothing at all when the registry is disabled).
+        let packets_i = metrics.counter("sim.packets.I");
+        let packets_p = metrics.counter("sim.packets.P");
+        let packets_encrypted = metrics.counter("sim.packets.encrypted");
+        let packets_delivered = metrics.counter("sim.packets.delivered");
+        let packets_lost = metrics.counter("sim.packets.lost");
+        let bytes_encrypted = metrics.counter(&format!(
+            "sim.bytes_encrypted.{}",
+            self.policy.algorithm.name()
+        ));
+        let mut records = Vec::with_capacity(packets.len());
+        let mut capture = PacketCapture::new();
+        // When the server frees up (Lindley recursion state).
+        let mut queue_clear_at = 0.0f64;
+        let mut sum_delay = 0.0f64;
+        let mut sum_enc = 0.0f64;
+        for (pkt, &nominal) in packets.iter().zip(arrivals.iter()) {
+            // Closed-loop producer: an enqueue cannot happen while the
+            // queue already holds more than the bound's worth of
+            // unfinished work.
+            let arrival = match self.backlog_bound_s {
+                Some(bound) => nominal.max(queue_clear_at - bound),
+                None => nominal,
             };
-            t += exponential(rng, rate);
-            times.push(t);
+            let step = service.step(&mut queue_clear_at, pkt, arrival, rng);
+
+            sum_delay += step.delay_s();
+            sum_enc += step.enc_s;
+            metrics.record_span(Stage::Enqueue, step.wait_s);
+            metrics.record_span(Stage::Encrypt, step.enc_s);
+            metrics.record_span(Stage::DcfBackoff, step.backoff_s);
+            metrics.record_span(Stage::Transmit, step.tx_s);
+            match pkt.ftype {
+                FrameType::I => packets_i.inc(),
+                FrameType::P => packets_p.inc(),
+            }
+            if step.encrypted {
+                packets_encrypted.inc();
+                bytes_encrypted.add(pkt.bytes as u64);
+            }
+            if step.delivered {
+                packets_delivered.inc();
+            } else {
+                packets_lost.inc();
+            }
+            capture.record(CapturedPacket {
+                seq: pkt.seq,
+                frame_index: pkt.frame_index,
+                bytes: pkt.bytes,
+                encrypted: step.encrypted,
+                time_s: queue_clear_at,
+            });
+            records.push(PacketRecord {
+                seq: pkt.seq,
+                frame_index: pkt.frame_index,
+                ftype: pkt.ftype,
+                bytes: pkt.bytes,
+                encrypted: step.encrypted,
+                arrival_s: arrival,
+                wait_s: step.wait_s,
+                service_s: step.service_s,
+                delivered: step.delivered,
+            });
         }
-        times
+        let n = records.len().max(1) as f64;
+        SenderSummary {
+            mean_delay_s: sum_delay / n,
+            mean_encryption_s: sum_enc / n,
+            duration_s: queue_clear_at,
+            records,
+            capture,
+        }
     }
 }
 
-/// Per-run pipeline state shared by the event-driven drain and the
-/// reference loop: policy constants, telemetry handles and the Lindley
-/// accumulators.
+/// The producer's arrival process, one packet at a time: per GOP, an
+/// I-fragment burst at the disk rate followed by P packets paced at the
+/// read rate — the process the 2-MMPP of Section 4.2.1 models.
 ///
-/// Both paths advance a packet with [`step`](PipelineCore::step), so every
-/// RNG draw and every floating-point operation is common code — which is
-/// what makes the calendar port bit-identical to the legacy loop rather
-/// than merely close. The struct owns copies of the calibrated constants
-/// (all `Copy`), so machines built from it hold no borrow of the scenario.
-struct PipelineCore<'a> {
+/// A fresh cursor is `Copy`, so a many-flow caller builds it once and
+/// copies it into each flow.
+#[derive(Debug, Clone, Copy)]
+pub struct GopArrivals {
+    lambda1: f64,
+    lambda2: f64,
+    gop_period: f64,
+    gop_size: usize,
+    t: f64,
+    last_gop: usize,
+}
+
+impl GopArrivals {
+    /// A cursor at t = 0 for `n_packets` packets of `stream`.
+    pub fn new(params: &ScenarioParams, stream: &EncodedStream, n_packets: usize) -> Self {
+        let mmpp = &params.mmpp;
+        // The calibrated read speedup is implied by the MMPP's mean rate
+        // relative to the stream's natural (real-time) packet rate; the
+        // producer's GOP slot shrinks by the same factor.
+        let natural_rate = n_packets as f64 / stream.duration_s();
+        let speedup = mmpp.mean_rate() / natural_rate;
+        GopArrivals {
+            lambda1: mmpp.lambda1,
+            lambda2: mmpp.lambda2,
+            gop_period: stream.gop_size as f64 / stream.fps / speedup,
+            gop_size: stream.gop_size,
+            t: 0.0,
+            last_gop: usize::MAX,
+        }
+    }
+
+    /// The arrival time of the next packet, which must be `pkt`.
+    pub fn next<R: Rng + ?Sized>(&mut self, pkt: &VideoPacket, rng: &mut R) -> f64 {
+        let gop = pkt.frame_index / self.gop_size;
+        if gop != self.last_gop {
+            // Producer starts reading this GOP no earlier than its slot.
+            self.t = self.t.max(gop as f64 * self.gop_period);
+            self.last_gop = gop;
+        }
+        let rate = match pkt.ftype {
+            FrameType::I => self.lambda1,
+            FrameType::P => self.lambda2,
+        };
+        self.t += exponential(rng, rate);
+        self.t
+    }
+}
+
+/// The calibrated per-packet service of one sender: policy selection,
+/// encryption, DCF backoff, airtime and channel delivery.
+#[derive(Debug, Clone, Copy)]
+pub struct ServiceModel {
     policy: Policy,
-    backlog_bound_s: Option<f64>,
     delivery: f64,
     cost: thrifty_crypto::CostModel,
     jitter: f64,
     p_s: f64,
     backoff_rate: f64,
     phy: thrifty_net::PhyParams,
-    metrics: &'a thrifty_telemetry::MetricsRegistry,
-    // Counter handles are acquired once; per-packet cost is a relaxed
-    // atomic add (nothing at all when the registry is disabled).
-    packets_i: thrifty_telemetry::Counter,
-    packets_p: thrifty_telemetry::Counter,
-    packets_encrypted: thrifty_telemetry::Counter,
-    packets_delivered: thrifty_telemetry::Counter,
-    packets_lost: thrifty_telemetry::Counter,
-    bytes_encrypted: thrifty_telemetry::Counter,
-    records: Vec<PacketRecord>,
-    capture: PacketCapture,
-    /// When the server frees up (Lindley recursion state).
-    queue_clear_at: f64,
-    sum_delay: f64,
-    sum_enc: f64,
 }
 
-impl<'a> PipelineCore<'a> {
-    fn new(
-        sim: &SenderSim<'_>,
-        metrics: &'a thrifty_telemetry::MetricsRegistry,
-        n_packets: usize,
-    ) -> Self {
-        PipelineCore {
-            policy: sim.policy,
-            backlog_bound_s: sim.backlog_bound_s,
-            delivery: sim.params.delivery_rate(),
-            cost: sim.params.cost_model(sim.policy.algorithm),
-            jitter: sim.params.jitter_rel,
-            p_s: sim.params.dcf.packet_success_rate,
-            backoff_rate: sim.params.dcf.backoff_rate_hz,
-            phy: sim.params.phy,
-            metrics,
-            packets_i: metrics.counter("sim.packets.I"),
-            packets_p: metrics.counter("sim.packets.P"),
-            packets_encrypted: metrics.counter("sim.packets.encrypted"),
-            packets_delivered: metrics.counter("sim.packets.delivered"),
-            packets_lost: metrics.counter("sim.packets.lost"),
-            bytes_encrypted: metrics.counter(&format!(
-                "sim.bytes_encrypted.{}",
-                sim.policy.algorithm.name()
-            )),
-            records: Vec::with_capacity(n_packets),
-            capture: PacketCapture::new(),
-            queue_clear_at: 0.0,
-            sum_delay: 0.0,
-            sum_enc: 0.0,
+/// What one packet drew and waited on its way through the sender queue.
+#[derive(Debug, Clone, Copy)]
+pub struct PacketStep {
+    /// Whether the policy selected it for encryption.
+    pub encrypted: bool,
+    /// Encryption time, seconds.
+    pub enc_s: f64,
+    /// DCF backoff, seconds.
+    pub backoff_s: f64,
+    /// Airtime, seconds.
+    pub tx_s: f64,
+    /// Service time (encryption + backoff + airtime), seconds.
+    pub service_s: f64,
+    /// Time spent waiting in the queue, seconds.
+    pub wait_s: f64,
+    /// Whether the channel delivered it (after MAC retries).
+    pub delivered: bool,
+}
+
+impl PacketStep {
+    /// Total per-packet delay (queueing + service).
+    pub fn delay_s(&self) -> f64 {
+        self.wait_s + self.service_s
+    }
+}
+
+impl ServiceModel {
+    /// The service constants of `policy` under a calibrated scenario.
+    pub fn new(params: &ScenarioParams, policy: Policy) -> Self {
+        ServiceModel {
+            policy,
+            delivery: params.delivery_rate(),
+            cost: params.cost_model(policy.algorithm),
+            jitter: params.jitter_rel,
+            p_s: params.dcf.packet_success_rate,
+            backoff_rate: params.dcf.backoff_rate_hz,
+            phy: params.phy,
         }
     }
 
-    /// Closed-loop producer: an enqueue cannot happen while the queue
-    /// already holds more than the bound's worth of unfinished work (both
-    /// terms are nondecreasing, so arrivals stay ordered — and so the
-    /// event a handler schedules from this time is never in its past).
-    fn effective_arrival(&self, nominal: f64) -> f64 {
-        match self.backlog_bound_s {
-            Some(bound) => nominal.max(self.queue_clear_at - bound),
-            None => nominal,
-        }
-    }
-
-    /// One packet through encrypt → backoff → transmit → channel, with the
-    /// Lindley update and all telemetry. `arrival` must come from
-    /// [`effective_arrival`](Self::effective_arrival) evaluated under the
-    /// queue state left by the previous packet.
-    fn step<R: Rng + ?Sized>(&mut self, pkt: &VideoPacket, arrival: f64, rng: &mut R) {
-        use thrifty_telemetry::Stage;
+    /// One packet arriving at `arrival` through encrypt → backoff →
+    /// transmit → channel, with the Lindley update of `queue_clear_at`
+    /// (when the server frees up). Draws, in order: the policy unit, the
+    /// encryption time, the backoff loop, the airtime, the delivery.
+    pub fn step<R: Rng + ?Sized>(
+        &self,
+        queue_clear_at: &mut f64,
+        pkt: &VideoPacket,
+        arrival: f64,
+        rng: &mut R,
+    ) -> PacketStep {
         let unit: f64 = rng.gen_range(0.0..1.0);
         let encrypted = self.policy.mode.should_encrypt(pkt.ftype, unit);
-        let enc_time = if encrypted {
+        let enc_s = if encrypted {
             gaussian(
                 rng,
                 self.cost.mean_time(pkt.bytes),
@@ -370,134 +383,37 @@ impl<'a> PipelineCore<'a> {
         } else {
             0.0
         };
-        let mut backoff = 0.0;
+        let mut backoff_s = 0.0;
         while !rng.gen_bool(self.p_s) {
-            backoff += exponential(rng, self.backoff_rate);
+            backoff_s += exponential(rng, self.backoff_rate);
         }
         let tx_mean = self.phy.tx_time_s(pkt.bytes + 40);
-        let tx = gaussian(rng, tx_mean, self.jitter * tx_mean);
-        let service = enc_time + backoff + tx;
+        let tx_s = gaussian(rng, tx_mean, self.jitter * tx_mean);
+        let service_s = enc_s + backoff_s + tx_s;
 
-        let start = self.queue_clear_at.max(arrival);
-        let wait = start - arrival;
-        self.queue_clear_at = start + service;
-        let delivered = rng.gen_bool(self.delivery);
-
-        self.sum_delay += wait + service;
-        self.sum_enc += enc_time;
-        self.metrics.record_span(Stage::Enqueue, wait);
-        self.metrics.record_span(Stage::Encrypt, enc_time);
-        self.metrics.record_span(Stage::DcfBackoff, backoff);
-        self.metrics.record_span(Stage::Transmit, tx);
-        match pkt.ftype {
-            FrameType::I => self.packets_i.inc(),
-            FrameType::P => self.packets_p.inc(),
-        }
-        if encrypted {
-            self.packets_encrypted.inc();
-            self.bytes_encrypted.add(pkt.bytes as u64);
-        }
-        if delivered {
-            self.packets_delivered.inc();
-        } else {
-            self.packets_lost.inc();
-        }
-        self.capture.record(CapturedPacket {
-            seq: pkt.seq,
-            frame_index: pkt.frame_index,
-            bytes: pkt.bytes,
+        let start = queue_clear_at.max(arrival);
+        *queue_clear_at = start + service_s;
+        PacketStep {
             encrypted,
-            time_s: self.queue_clear_at,
-        });
-        self.records.push(PacketRecord {
-            seq: pkt.seq,
-            frame_index: pkt.frame_index,
-            ftype: pkt.ftype,
-            bytes: pkt.bytes,
-            encrypted,
-            arrival_s: arrival,
-            wait_s: wait,
-            service_s: service,
-            delivered,
-        });
-    }
-
-    fn finish(self) -> SenderSummary {
-        let n = self.records.len().max(1) as f64;
-        SenderSummary {
-            mean_delay_s: self.sum_delay / n,
-            mean_encryption_s: self.sum_enc / n,
-            duration_s: self.queue_clear_at,
-            records: self.records,
-            capture: self.capture,
+            enc_s,
+            backoff_s,
+            tx_s,
+            service_s,
+            wait_s: start - arrival,
+            delivered: rng.gen_bool(self.delivery),
         }
     }
 }
 
-/// One sender flow as a calendar state machine: each event is one packet,
-/// keyed by its wire seq and dispatched at its **effective** arrival time.
-///
-/// The handler steps the shared [`PipelineCore`] and schedules the next
-/// packet at its effective arrival — which is computable the moment the
-/// current packet leaves the Lindley recursion, and never earlier than the
-/// event being handled (effective arrivals are nondecreasing), so the
-/// schedule is causal by construction. Draws come only from the machine's
-/// own `rng`, in packet-seq order — the exact order of the reference loop —
-/// so the dispatch interleaving across flows on a shared calendar cannot
-/// perturb any flow's stream.
-pub struct SenderFlowMachine<'m, R: Rng + ?Sized> {
-    core: PipelineCore<'m>,
-    packets: &'m [VideoPacket],
-    arrivals: Vec<f64>,
-    rng: &'m mut R,
-}
-
-impl<R: Rng + ?Sized> SenderFlowMachine<'_, R> {
-    /// Consume the machine after the drain and produce the run's summary.
-    pub fn finish(self) -> SenderSummary {
-        self.core.finish()
-    }
-}
-
-impl<R: Rng + ?Sized> FlowMachine for SenderFlowMachine<'_, R> {
-    type Event = ();
-    type Ctx = ();
-
-    fn start(&mut self, sched: &mut Schedule<'_, ()>, _ctx: &mut ()) {
-        if !self.packets.is_empty() {
-            let t = self.core.effective_arrival(self.arrivals[0]);
-            sched.at(SimTime::from_s(t), 0, ());
-        }
-    }
-
-    fn on_event(
-        &mut self,
-        key: EventKey,
-        _event: (),
-        sched: &mut Schedule<'_, ()>,
-        _ctx: &mut (),
-    ) {
-        let i = key.seq as usize;
-        self.core.step(&self.packets[i], key.time.as_s(), self.rng);
-        if i + 1 < self.packets.len() {
-            let t = self.core.effective_arrival(self.arrivals[i + 1]);
-            sched.at(SimTime::from_s(t), key.seq + 1, ());
-        }
-    }
-}
-
-/// Inverse-CDF exponential draw — the arrival/backoff sampler of the
-/// pipeline. Public so the fleet's scale path samples with bit-identical
-/// arithmetic instead of a reimplementation.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
+/// Inverse-CDF exponential draw — the arrival/backoff sampler.
+fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     -u.ln() / rate
 }
 
 /// Box–Muller gaussian draw truncated at zero; degenerate `std <= 0`
-/// returns the (clamped) mean without consuming the stream. Public for the
-/// same reason as [`exponential`].
-pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
+/// returns the (clamped) mean without consuming the stream.
+fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
     if std <= 0.0 {
         return mean.max(0.0);
     }
@@ -714,62 +630,6 @@ mod tests {
             .map(|r| r.bytes as u64)
             .sum();
         assert_eq!(snap.counter("sim.bytes_encrypted.AES256"), enc_bytes);
-    }
-
-    #[test]
-    fn event_run_matches_reference_bit_for_bit() {
-        // The calendar port against the retained per-packet loop: same
-        // seed, same records (bit-level), same capture, same telemetry.
-        use thrifty_telemetry::MetricsRegistry;
-        for mode in [
-            EncryptionMode::None,
-            EncryptionMode::IFrames,
-            EncryptionMode::IPlusFractionP(0.3),
-            EncryptionMode::All,
-        ] {
-            let (params, stream, policy) = setup(mode);
-            let sim = SenderSim::new(&params, policy);
-            let event_metrics = MetricsRegistry::enabled();
-            let mut rng = StdRng::seed_from_u64(41);
-            let event = sim.run_metered(&stream, &mut rng, &event_metrics);
-            let ref_metrics = MetricsRegistry::enabled();
-            let mut rng = StdRng::seed_from_u64(41);
-            let reference = sim.run_metered_reference(&stream, &mut rng, &ref_metrics);
-            assert_eq!(event.records, reference.records, "mode {mode:?}");
-            assert_eq!(
-                event.mean_delay_s.to_bits(),
-                reference.mean_delay_s.to_bits()
-            );
-            assert_eq!(
-                event.mean_encryption_s.to_bits(),
-                reference.mean_encryption_s.to_bits()
-            );
-            assert_eq!(event.duration_s.to_bits(), reference.duration_s.to_bits());
-            assert_eq!(event.capture.len(), reference.capture.len());
-            assert_eq!(
-                event_metrics.snapshot().to_json(),
-                ref_metrics.snapshot().to_json(),
-                "telemetry must not depend on the execution engine"
-            );
-        }
-    }
-
-    #[test]
-    fn event_run_matches_reference_closed_loop() {
-        // The backlog bound couples each arrival to the queue state, so it
-        // exercises the handler-schedules-next-arrival path hardest.
-        let (params, stream, policy) = setup(EncryptionMode::All);
-        let sim = SenderSim::new(&params, policy).with_backlog_bound(1e-3);
-        let mut rng = StdRng::seed_from_u64(42);
-        let event = sim.run(&stream, &mut rng);
-        let mut rng = StdRng::seed_from_u64(42);
-        let reference = sim.run_metered_reference(
-            &stream,
-            &mut rng,
-            &thrifty_telemetry::MetricsRegistry::disabled(),
-        );
-        assert_eq!(event.records, reference.records);
-        assert_eq!(event.duration_s.to_bits(), reference.duration_s.to_bits());
     }
 
     #[test]

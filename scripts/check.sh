@@ -84,21 +84,21 @@ timeout 600 ./target/release/reproduce chaos --quick --no-bench-json > "$tmp/cha
 timeout 600 ./target/release/reproduce chaos --quick --no-bench-json > "$tmp/chaos_b.txt"
 cmp "$tmp/chaos_a.txt" "$tmp/chaos_b.txt"
 
-echo "==> fleet --quick smoke gate (N=10^4 on the event calendar; hang fails as exit 124)"
-# One 10^4-flow cell on the discrete-event scale path, self-verified
-# (one event per packet, double-run bit-identity, physical delays).
-# `timeout` turns a calendar or sharding hang into exit 124.
+echo "==> fleet --quick smoke gate (N=10^4 on the scale path; hang fails as exit 124)"
+# One 10^4-flow cell on the scale path, self-verified (one packet step
+# per packet, double-run bit-identity, physical delays). `timeout` turns
+# a hang in a flow loop into exit 124.
 timeout 300 ./target/release/reproduce fleet --quick --no-bench-json > /dev/null
 
-echo "==> fleet scaling sweep (self-verifying; deadlock fails as exit 124)"
+echo "==> fleet scaling sweep (self-verifying; hang fails as exit 124)"
 # The sweep asserts its own guarantees and exits non-zero on violation:
 # N=1 byte-identity with the single-sender path, same-seed metered runs
 # bit-reproducible, 2-state/n-state solver agreement, and a solve-cache hit
-# rate > 90% on the 100-flow cells. It then drives the event-calendar scale
-# path to N=10^5; wall-clock numbers (events/sec, peak RSS) go only to
+# rate > 90% on the 100-flow cells. It then drives the scale path to
+# N=10^5; wall-clock numbers (events/sec, peak RSS) go only to
 # BENCH_fleet.json (suppressed here), so the double-run stdout byte-compare
 # below also gates the scale path's reproducibility at every N. `timeout`
-# turns a sharding deadlock into exit 124.
+# turns a hang in a flow loop into exit 124.
 timeout 600 ./target/release/reproduce fleet --no-bench-json > "$tmp/fleet_a.txt"
 timeout 600 ./target/release/reproduce fleet --no-bench-json > "$tmp/fleet_b.txt"
 cmp "$tmp/fleet_a.txt" "$tmp/fleet_b.txt"
