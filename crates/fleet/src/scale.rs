@@ -187,7 +187,6 @@ impl DelayHistogram {
 /// One flow's totals, folded across flows in flow-id order after the run.
 #[derive(Default)]
 struct FlowTotals {
-    packets: u64,
     delivered: u64,
     delivered_bits: f64,
     sum_delay: f64,
@@ -329,18 +328,16 @@ impl ScaleEngine {
 
         // Fold in global flow-id order (shards are contiguous ascending
         // ranges), so the f64 sums are independent of the shard layout.
-        let mut packets = 0u64;
-        let mut events = 0u64;
+        let mut steps = 0u64;
         let mut delivered = 0u64;
         let mut delivered_bits = 0.0f64;
         let mut sum_delay = 0.0f64;
         let mut makespan = 0.0f64;
         let mut hist = DelayHistogram::default();
         for out in &shard_outs {
-            events += out.steps;
+            steps += out.steps;
             hist.merge(&out.hist);
             for f in &out.flows {
-                packets += f.packets;
                 delivered += f.delivered;
                 delivered_bits += f.delivered_bits;
                 sum_delay += f.sum_delay;
@@ -350,10 +347,10 @@ impl ScaleEngine {
         ScaleResult {
             flows: n,
             cell_stations: cfg.cell_stations(),
-            packets,
-            events,
+            packets: steps,
+            events: steps,
             delivered,
-            mean_delay_s: sum_delay / packets.max(1) as f64,
+            mean_delay_s: sum_delay / steps.max(1) as f64,
             p50_delay_s: hist.percentile(0.50),
             p95_delay_s: hist.percentile(0.95),
             p99_delay_s: hist.percentile(0.99),
@@ -377,7 +374,6 @@ impl ScaleEngine {
             let step =
                 self.service
                     .step(&mut totals.queue_clear_at, pkt, arrival, &mut service_rng);
-            totals.packets += 1;
             totals.sum_delay += step.delay_s();
             if step.delivered {
                 totals.delivered += 1;
