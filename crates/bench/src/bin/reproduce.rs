@@ -33,8 +33,8 @@
 //! guarantees: N=1 byte-identity with the single-sender path, same-seed
 //! bit-reproducibility, 2-state/n-state solver agreement, or a solve-cache
 //! hit rate ≤ 90% at N=100. Also excluded from `all`. It then drives the
-//! lean event-calendar scale path out to N = 10^5 flows (10^6 with
-//! `--full`) and writes `BENCH_fleet.json` — events/sec and peak RSS per N
+//! lean scale path out to N = 10^5 flows (10^6 with `--full`) and writes
+//! `BENCH_fleet.json` — packet steps/sec and peak RSS per N
 //! (the only place wall-clock numbers appear; stdout stays byte-stable so
 //! a double run diffs clean). `fleet --quick` is the CI smoke gate: the
 //! N = 10^4 scale cell only, verified, under `timeout` in scripts/check.sh.
@@ -278,7 +278,7 @@ fn main() {
                 }
             });
         }
-        // The event-calendar scale path. `--quick` is the CI smoke gate
+        // The lean scale path. `--quick` is the CI smoke gate
         // (one N = 10^4 cell under `timeout` in scripts/check.sh); the
         // default sweeps to 10^5 and `--full` adds the 10^6 point.
         let scale_sizes: Vec<usize> = if quick {

@@ -17,12 +17,12 @@
 //! * **`solver residual`** — the 2-state [`MmppG1`] and n-state
 //!   [`MmppNG1`] solves of the same cell queue agree to < 1e-6 relative.
 //!
-//! Beyond the full-fidelity sweep, [`scale_sweep`] drives the lean
-//! event-calendar path (`thrifty_fleet::scale`) out to N = 10^5 flows by
-//! default and 10^6 under `--full`, verifying one-event-per-packet
-//! dispatch and double-run bit-identity, and recording events/sec + peak
-//! RSS per N into `BENCH_fleet.json` (wall-clock numbers never reach
-//! stdout, which stays byte-stable).
+//! Beyond the full-fidelity sweep, [`scale_sweep`] drives the lean scale
+//! path (`thrifty_fleet::scale`) out to N = 10^5 flows by default and
+//! 10^6 under `--full`, verifying one packet step per packet and
+//! double-run bit-identity, and recording steps/sec + peak RSS per N into
+//! `BENCH_fleet.json` (wall-clock numbers never reach stdout, which stays
+//! byte-stable).
 //!
 //! [`ScenarioParams::calibrated`]: thrifty::analytic::params::ScenarioParams::calibrated
 //! [`MmppG1`]: thrifty::queueing::MmppG1
@@ -43,7 +43,7 @@ use crate::{Effort, FigureMetrics, Row, Table};
 /// The swept fleet sizes.
 pub const FLEET_SIZES: [usize; 7] = [1, 2, 5, 10, 25, 50, 100];
 
-/// The default scale-path sweep (lean event-calendar flows).
+/// The default scale-path sweep (lean flows).
 pub const SCALE_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 
 /// The extra scale point `--full` adds on top of [`SCALE_SIZES`].
@@ -227,9 +227,9 @@ pub fn verify_fleet_sweep(table: &Table) -> Vec<String> {
 pub struct ScaleBench {
     /// Flow count of the cell.
     pub flows: usize,
-    /// Calendar events the run dispatched (one per packet).
+    /// Packet steps the run took (one per packet).
     pub events: u64,
-    /// Dispatch rate, events per wall-clock second.
+    /// Packet steps per wall-clock second.
     pub events_per_sec: f64,
     /// Wall time of the metered run, seconds.
     pub wall_s: f64,
@@ -253,14 +253,14 @@ fn peak_rss_bytes() -> u64 {
         .map_or(0, |kb| kb * 1024)
 }
 
-/// The scale-path sweep: N ∈ `sizes` lean flows on the event calendar
-/// (`thrifty_fleet::scale`), one cell per N, all sharing one solve cache
-/// (every cell runs at the same per-cell DCF operating point, so the first
-/// cell's solve is every later cell's hit).
+/// The scale-path sweep: N ∈ `sizes` lean flows (`thrifty_fleet::scale`),
+/// one cell per N, all sharing one solve cache (every cell runs at the
+/// same per-cell DCF operating point, so the first cell's solve is every
+/// later cell's hit).
 ///
 /// The returned table holds **only deterministic columns** — counts, delays
 /// and the double-run indicator — and renders byte-identically on every
-/// invocation. Throughput (events/sec) and peak RSS ride in the
+/// invocation. Throughput (steps/sec) and peak RSS ride in the
 /// [`ScaleBench`] rows, destined for `BENCH_fleet.json`.
 pub fn scale_sweep(sizes: &[usize]) -> (Table, Vec<ScaleBench>) {
     let policy = Policy::new(Algorithm::Aes256, EncryptionMode::IFrames);
@@ -308,9 +308,9 @@ pub fn scale_sweep(sizes: &[usize]) -> (Table, Vec<ScaleBench>) {
         });
     }
     let table = Table {
-        title: "Fleet scaling — event-calendar scale path".into(),
+        title: "Fleet scaling — lean scale path".into(),
         caption: "N lean flows across independent WLAN cells (each cell at the paper's \
-                  5-station contention), stepped on the discrete-event calendar with O(1) \
+                  5-station contention), each flow stepped as a plain loop with O(1) \
                   per-flow state. Delays are per-packet; p50/p95/p99 are log₂-histogram \
                   quantized (bucket lower bound, ≤2× relative error). `reproducible` = 1 \
                   is the same-seed double-run bit-identity check (in-process up to N=10^4; \
@@ -337,7 +337,7 @@ pub fn verify_scale_sweep(table: &Table) -> Vec<String> {
         let (packets, events) = (row.value("packets"), row.value("events"));
         if packets != events || packets <= 0.0 {
             violations.push(format!(
-                "{}: calendar must dispatch exactly one event per packet ({events} vs {packets})",
+                "{}: the flow loops must take exactly one event per packet ({events} vs {packets})",
                 row.label
             ));
         }

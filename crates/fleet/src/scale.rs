@@ -1,4 +1,4 @@
-//! The million-flow scale path: O(1) per-flow state on the event calendar.
+//! The million-flow scale path: O(1) per-flow state, one plain loop per flow.
 //!
 //! The full-fidelity [`FleetEngine`](crate::engine::FleetEngine) keeps
 //! per-packet records, a capture, a telemetry registry and a PSNR scoring
@@ -17,7 +17,7 @@
 //!   batch first, then the service draws — impossible in O(1) memory. Each
 //!   scale flow instead owns two independent streams
 //!   ([`flow_substream`]`(seed, flow, "scale.arrivals" | "scale.service")`),
-//!   so arrivals are generated lazily, one draw per event, without
+//!   so arrivals are generated lazily, one draw per packet step, without
 //!   perturbing the service draws.
 //! * **Independent cells.** A million uploaders cannot share one AP; the
 //!   Bianchi fixed point at 10^6 contenders drives the per-packet success
@@ -27,11 +27,13 @@
 //!   ([`ScaleConfig::flows_per_cell`] uploaders + background stations), and
 //!   all cells share the one cached DCF operating point.
 //!
+//! Flows never read each other's state, so each shard steps its flows one
+//! at a time in flow-id order, each as a plain loop over its packets.
 //! Aggregation is built to be shard-invariant without per-flow registries:
-//! per-packet delays land in a shared [`DelayHistogram`] (u64 log₂ buckets;
-//! integer adds commute, so the merged histogram is independent of shard
-//! layout and dispatch interleaving), and the few per-flow `f64` sums are
-//! folded after the drain in global flow-id order. `run` is therefore
+//! per-packet delays land in a per-shard [`DelayHistogram`] (u64 log₂
+//! buckets; integer adds commute, so the merged histogram is independent
+//! of shard layout and flow order), and the few per-flow `f64` sums are
+//! folded after the run in global flow-id order. `run` is therefore
 //! bit-reproducible across runs *and* shard counts — the property
 //! `reproduce fleet` gates on before recording throughput numbers into
 //! `BENCH_fleet.json`.
@@ -120,7 +122,7 @@ impl ScaleConfig {
 /// Bucket 0 holds sub-nanosecond delays; bucket `b ≥ 1` holds delays in
 /// `[2^(b-1), 2^b)` ns. Recording is one integer increment, merging is an
 /// elementwise add — both commutative and associative, so the merged
-/// histogram is identical for every shard layout and dispatch order. The
+/// histogram is identical for every shard layout and flow order. The
 /// price is quantization: percentiles read from the histogram are bucket
 /// lower bounds (≤ 2× relative error), which the scale table reports as
 /// such.
@@ -213,7 +215,8 @@ pub struct ScaleResult {
     pub cell_stations: usize,
     /// Total packets stepped through the pipeline.
     pub packets: u64,
-    /// Calendar events dispatched (one per packet — asserted in tests).
+    /// Packet steps taken (one per packet — asserted in tests). The field
+    /// keeps its name because benchmark code reads it.
     pub events: u64,
     /// Packets the channel delivered.
     pub delivered: u64,
