@@ -76,6 +76,7 @@ fn golden_snapshots_are_committed() {
         "fig4_gop30",
         "fig5_gop30",
         "table2",
+        "fig14_15_gop30",
         "headline",
         "ablation_d_percentiles",
         "fountain_matrix",
