@@ -1,6 +1,7 @@
 //! Criterion benches for the primitives every experiment leans on:
 //! cipher throughput (the quantity behind the paper's delay/energy gaps),
-//! bitstream handling, packetization, and the analytic solvers.
+//! bitstream handling, packetization, the analytic solvers and quality
+//! scoring.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use thrifty::analytic::params::{ScenarioParams, SAMSUNG_GALAXY_S2};
@@ -96,6 +97,25 @@ fn scene_rendering(c: &mut Criterion) {
     });
 }
 
+/// One concealed clip scored two ways: streamed, and by building the
+/// reconstruction and measuring it. Every I-frame is lost and every P-frame
+/// received, so each broken GOP is repainted by intra refresh (fast motion).
+fn quality_scoring(c: &mut Criterion) {
+    use thrifty::video::quality::{measure_quality, RefreshingDecoder};
+    let clip = SceneGenerator::new(SceneConfig::qcif(MotionLevel::High, 1)).clip(300);
+    let received: Vec<bool> = (0..300).map(|f| f % 30 != 0).collect();
+    let decoder = RefreshingDecoder::new(MotionLevel::High.p_refresh_fraction());
+    c.bench_function("score_300_frames", |b| {
+        b.iter(|| black_box(decoder.score(black_box(&clip), &received, 30)))
+    });
+    c.bench_function("reconstruct_then_measure_300_frames", |b| {
+        b.iter(|| {
+            let rec = decoder.reconstruct(black_box(&clip), &received, 30);
+            black_box(measure_quality(&clip, &rec))
+        })
+    });
+}
+
 fn wait_distribution(c: &mut Criterion) {
     use thrifty::queueing::inversion::WaitDistribution;
     let mmpp = Mmpp2::new(100.0, 10.0, 900.0, 60.0);
@@ -149,6 +169,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = cipher_throughput, nal_bitstream, packetizer, solvers, scene_rendering,
-              wait_distribution, traffic_classifier, block_modes
+              quality_scoring, wait_distribution, traffic_classifier, block_modes
 }
 criterion_main!(benches);

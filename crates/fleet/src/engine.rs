@@ -25,7 +25,7 @@ use thrifty_sim::sender::{SenderSim, SenderSummary};
 use thrifty_telemetry::{MetricsRegistry, Snapshot};
 use thrifty_video::encoder::{EncodedStream, StatisticalEncoder};
 use thrifty_video::motion::MotionLevel;
-use thrifty_video::quality::{measure_quality, RefreshingDecoder};
+use thrifty_video::quality::RefreshingDecoder;
 use thrifty_video::scene::{SceneConfig, SceneGenerator};
 use thrifty_video::yuv::{Resolution, YuvFrame};
 
@@ -357,8 +357,7 @@ impl FleetEngine {
         let sens = cfg.motion.sensitivity_fraction();
         let decoder = RefreshingDecoder::new(cfg.motion.p_refresh_fraction());
         let eve_flags = summary.eavesdropper_frame_flags(cfg.frames, sens);
-        let eve_rec = decoder.reconstruct(&self.clip, &eve_flags, cfg.gop_size);
-        let eve_q = measure_quality(&self.clip, &eve_rec);
+        let eve_q = decoder.score(&self.clip, &eve_flags, cfg.gop_size);
 
         let mut delays: Vec<f64> = summary.records.iter().map(|r| r.delay_s()).collect();
         delays.sort_by(f64::total_cmp);

@@ -17,7 +17,7 @@ use thrifty_energy::{CryptoLoad, PowerProfile};
 use thrifty_net::tcp::TcpLatencyModel;
 use thrifty_video::encoder::{EncodedStream, StatisticalEncoder};
 use thrifty_video::motion::MotionLevel;
-use thrifty_video::quality::{measure_quality, RefreshingDecoder};
+use thrifty_video::quality::RefreshingDecoder;
 use thrifty_video::scene::{SceneConfig, SceneGenerator};
 use thrifty_video::yuv::{Resolution, YuvFrame};
 
@@ -234,10 +234,8 @@ impl Experiment {
                 .filter(|gop| !gop.iter().any(|&ok| ok))
                 .count();
             gops_dropped_eve.add(dropped as u64);
-            let rx_rec = decoder.reconstruct(&self.clip, &rx_flags, cfg.gop_size);
-            let eve_rec = decoder.reconstruct(&self.clip, &eve_flags, cfg.gop_size);
-            let rx_q = measure_quality(&self.clip, &rx_rec);
-            let eve_q = measure_quality(&self.clip, &eve_rec);
+            let rx_q = decoder.score(&self.clip, &rx_flags, cfg.gop_size);
+            let eve_q = decoder.score(&self.clip, &eve_flags, cfg.gop_size);
             psnr_rx.push(rx_q.psnr_of_mean_mse);
             mos_rx.push(rx_q.score);
             psnr_eve.push(eve_q.psnr_of_mean_mse);

@@ -42,6 +42,14 @@ impl Resolution {
     pub fn frame_len(self) -> usize {
         self.luma_len() + 2 * self.chroma_len()
     }
+
+    /// Panic unless both dimensions are even, as 4:2:0 requires.
+    pub(crate) fn assert_420(self) {
+        assert!(
+            self.width.is_multiple_of(2) && self.height.is_multiple_of(2),
+            "4:2:0 requires even dimensions"
+        );
+    }
 }
 
 /// One uncompressed planar YUV 4:2:0 frame.
@@ -60,10 +68,7 @@ pub struct YuvFrame {
 impl YuvFrame {
     /// An all-black frame (Y=16, U=V=128, the BT.601 black point).
     pub fn black(resolution: Resolution) -> Self {
-        assert!(
-            resolution.width.is_multiple_of(2) && resolution.height.is_multiple_of(2),
-            "4:2:0 requires even dimensions"
-        );
+        resolution.assert_420();
         YuvFrame {
             resolution,
             y: vec![16; resolution.luma_len()],
@@ -89,13 +94,17 @@ impl YuvFrame {
     /// # Panics
     /// If resolutions differ.
     pub fn mse(&self, other: &YuvFrame) -> f64 {
-        assert_eq!(self.resolution, other.resolution, "MSE needs equal sizes");
-        let mut acc: u64 = 0;
-        for (&a, &b) in self.y.iter().zip(other.y.iter()) {
-            let d = a as i64 - b as i64;
-            acc += (d * d) as u64;
-        }
-        acc as f64 / self.y.len() as f64
+        self.mse_with(other.resolution, |y| luma_sse(y, &other.y))
+    }
+
+    /// Mean square error against a picture of `resolution` whose squared
+    /// luma error `sse` sums from this frame's luma plane.
+    ///
+    /// # Panics
+    /// If resolutions differ.
+    pub(crate) fn mse_with(&self, resolution: Resolution, sse: impl FnOnce(&[u8]) -> u64) -> f64 {
+        assert_eq!(self.resolution, resolution, "MSE needs equal sizes");
+        sse(&self.y) as f64 / self.y.len() as f64
     }
 
     /// Mean absolute luma difference — the residual-energy proxy used by the
@@ -154,6 +163,22 @@ pub fn clip_to_y4m(frames: &[YuvFrame], fps: u32) -> Vec<u8> {
         out.extend_from_slice(&f.v);
     }
     out
+}
+
+/// Sum of squared differences between two luma planes.
+pub(crate) fn luma_sse(a: &[u8], b: &[u8]) -> u64 {
+    // 4096 squared 8-bit differences fit a u32 (4096 · 255² < 2³²), so each
+    // chunk sums in 32-bit lanes and only the chunk totals widen.
+    let mut total = 0u64;
+    for (ca, cb) in a.chunks(4096).zip(b.chunks(4096)) {
+        let mut chunk = 0u32;
+        for (&x, &y) in ca.iter().zip(cb) {
+            let d = x as i32 - y as i32;
+            chunk += (d * d) as u32;
+        }
+        total += chunk as u64;
+    }
+    total
 }
 
 /// PSNR in dB for a given luma MSE, paper eq. (28):

@@ -416,6 +416,49 @@ proptest! {
         }
     }
 
+    /// The streaming scorer is `measure_quality` of the reconstruction, bit
+    /// for bit, at every refresh fraction the experiments use: over random
+    /// loss patterns (all-lost prefixes that show black included), GOP
+    /// sizes and clip lengths that end mid-GOP.
+    #[test]
+    fn streamed_score_matches_measured_reconstruction(
+        frames in 1usize..90,
+        gop_size in 1usize..=60,
+        lost_prefix in 0usize..40,
+        loss in 0.0f64..=1.0,
+        seed in any::<u64>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        use thrifty::video::quality::{measure_quality, Mos, RefreshingDecoder};
+        use thrifty::video::scene::{SceneConfig, SceneGenerator};
+        use thrifty::video::{MotionLevel, Resolution};
+
+        let bits =
+            |m: Mos| [m.score, m.mean_psnr, m.psnr_of_mean_mse, m.mean_mse].map(f64::to_bits);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let received: Vec<bool> = (0..frames)
+            .map(|f| f >= lost_prefix && !rng.gen_bool(loss))
+            .collect();
+        let motion = MotionLevel::ALL[(seed % 3) as usize];
+        // A small picture keeps the debug build fast; the decoder's logic
+        // does not depend on the size.
+        let clip = SceneGenerator::new(SceneConfig {
+            resolution: Resolution { width: 48, height: 32 },
+            ..SceneConfig::new(motion, seed)
+        })
+        .clip(frames);
+        let fractions = MotionLevel::ALL.map(MotionLevel::p_refresh_fraction);
+        for w in [0.0, 0.5, 1.0].into_iter().chain(fractions) {
+            let decoder = RefreshingDecoder::new(w);
+            let streamed = decoder.score(&clip, &received, gop_size);
+            let measured = measure_quality(&clip, &decoder.reconstruct(&clip, &received, gop_size));
+            prop_assert!(
+                bits(streamed) == bits(measured),
+                "w={w}: streamed {streamed:?} != measured {measured:?}"
+            );
+        }
+    }
+
     /// Encrypted fraction q^(P) is a probability and monotone in α.
     #[test]
     fn encrypted_fraction_is_probability(p_i in 0.0f64..=1.0, alpha in 0.0f64..=1.0) {
