@@ -95,11 +95,21 @@ fn scene_rendering(c: &mut Criterion) {
             black_box(generator.frame(t))
         })
     });
+    // The clips `Experiment::prepare` renders for the paper's slow and fast
+    // cells: one background strip, then a copy per frame.
+    for (name, level) in [("slow", MotionLevel::Low), ("fast", MotionLevel::High)] {
+        let generator = SceneGenerator::new(SceneConfig::qcif(level, 7));
+        c.bench_function(&format!("scene_clip_300_qcif_{name}"), |b| {
+            b.iter(|| black_box(generator.clip(black_box(300))))
+        });
+    }
 }
 
 /// One concealed clip scored two ways: streamed, and by building the
 /// reconstruction and measuring it. Every I-frame is lost and every P-frame
 /// received, so each broken GOP is repainted by intra refresh (fast motion).
+/// At slow motion the same pattern never changes the picture (every refresh
+/// lies within the blend table's still span), so it scores as frozen.
 fn quality_scoring(c: &mut Criterion) {
     use thrifty::video::quality::{measure_quality, RefreshingDecoder};
     let clip = SceneGenerator::new(SceneConfig::qcif(MotionLevel::High, 1)).clip(300);
@@ -107,6 +117,11 @@ fn quality_scoring(c: &mut Criterion) {
     let decoder = RefreshingDecoder::new(MotionLevel::High.p_refresh_fraction());
     c.bench_function("score_300_frames", |b| {
         b.iter(|| black_box(decoder.score(black_box(&clip), &received, 30)))
+    });
+    let slow_clip = SceneGenerator::new(SceneConfig::qcif(MotionLevel::Low, 1)).clip(300);
+    let slow = RefreshingDecoder::new(MotionLevel::Low.p_refresh_fraction());
+    c.bench_function("score_300_frames_slow_all_i_lost", |b| {
+        b.iter(|| black_box(slow.score(black_box(&slow_clip), &received, 30)))
     });
     c.bench_function("reconstruct_then_measure_300_frames", |b| {
         b.iter(|| {

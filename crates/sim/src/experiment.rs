@@ -2,10 +2,13 @@
 //! cell of the paper's evaluation grid, repeated over trials with 95%
 //! confidence intervals (Section 6.1).
 //!
-//! Each trial: encode a 300-frame synthetic clip, run the sender pipeline
-//! simulation, cross the channel, reconstruct the video at the legitimate
-//! receiver *and* at the eavesdropper (EvalVid-style frame-copy
-//! concealment over real pixels), and measure delay, PSNR, MOS and power.
+//! [`Experiment::prepare`] calibrates the scenario, encodes the coded
+//! stream and renders the pixel clip (300 frames in the paper), once per
+//! cell. Each trial then runs the sender pipeline simulation, crosses the
+//! channel, and scores what the legitimate receiver *and* the eavesdropper
+//! would see (EvalVid-style frame-copy concealment with intra refresh over
+//! real pixels) without building either reconstruction, measuring delay,
+//! PSNR, MOS and power.
 
 use crate::sender::SenderSim;
 use crate::stats::Summary;
@@ -194,7 +197,11 @@ impl Experiment {
         let delay_hist = metrics.histogram("sim.packet_delay_s");
         let sens = cfg.motion.sensitivity_fraction();
         // Decoders bootstrap partial pictures from P-frame intra refresh.
-        let decoder = RefreshingDecoder::new(cfg.motion.p_refresh_fraction());
+        // Scoring draws no RNG, so a loss pattern seen before (every
+        // intact receiver, an eavesdropper that sees what the receiver
+        // sees) reuses its score without changing any later draw.
+        let mut scorer = RefreshingDecoder::new(cfg.motion.p_refresh_fraction())
+            .scorer(&self.clip, cfg.gop_size);
 
         let mut delays = Vec::with_capacity(cfg.trials);
         let mut psnr_eve = Vec::new();
@@ -234,8 +241,8 @@ impl Experiment {
                 .filter(|gop| !gop.iter().any(|&ok| ok))
                 .count();
             gops_dropped_eve.add(dropped as u64);
-            let rx_q = decoder.score(&self.clip, &rx_flags, cfg.gop_size);
-            let eve_q = decoder.score(&self.clip, &eve_flags, cfg.gop_size);
+            let rx_q = scorer.score(&rx_flags);
+            let eve_q = scorer.score(&eve_flags);
             psnr_rx.push(rx_q.psnr_of_mean_mse);
             mos_rx.push(rx_q.score);
             psnr_eve.push(eve_q.psnr_of_mean_mse);

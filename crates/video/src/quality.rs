@@ -8,6 +8,7 @@
 
 use crate::yuv::{luma_sse, psnr_from_mse, Resolution, YuvFrame};
 use crate::{gop_position, FrameType};
+use std::collections::BTreeMap;
 
 /// Re-export of eq. (28): PSNR in dB from a mean-square error.
 pub fn psnr_db(mse: f64) -> f64 {
@@ -195,59 +196,28 @@ impl RefreshingDecoder {
 
     /// Score a clip's reconstruction without building it:
     /// `measure_quality(original, &self.reconstruct(original, received, gop_size))`,
-    /// bit for bit.
-    ///
-    /// Intact frames score MSE 0 without a pixel compared; a frozen frame
-    /// is compared with the original frame it repeats, or with the one
-    /// scratch luma plane that holds black or a blended picture. A
-    /// refreshed frame blends into that plane and sums its squared error in
-    /// the same pass.
+    /// bit for bit. The one-shot form of [`scorer`](Self::scorer).
     ///
     /// # Panics
     /// If lengths differ, `gop_size == 0`, the clip is empty or its frames
     /// differ in resolution where a picture is compared.
     pub fn score(&self, original: &[YuvFrame], received: &[bool], gop_size: usize) -> Mos {
-        let steps = self.steps(original.len(), received, gop_size);
-        assert!(!original.is_empty(), "cannot measure an empty clip");
-        let mut table = None;
-        let mut scratch: Vec<u8> = Vec::new();
-        let mut shown = None;
-        let mut sum = QualitySum::default();
-        for ((f, frame), step) in original.iter().enumerate().zip(steps) {
-            if step == Step::Intact {
-                shown = Some(Shown::Frame(f));
-                sum.add(0.0);
-                continue;
-            }
-            let stale = *shown.get_or_insert_with(|| {
-                frame.resolution.assert_420();
-                scratch.clear();
-                scratch.resize(frame.resolution.luma_len(), 16);
-                Shown::Scratch(frame.resolution)
-            });
-            let mse = if step == Step::Refreshed {
-                let resolution = match stale {
-                    Shown::Frame(k) => {
-                        scratch.clear();
-                        scratch.extend_from_slice(&original[k].y);
-                        original[k].resolution
-                    }
-                    Shown::Scratch(resolution) => resolution,
-                };
-                shown = Some(Shown::Scratch(resolution));
-                let table = self.table(&mut table);
-                frame.mse_with(resolution, |y| table.blend(&mut scratch, y))
-            } else {
-                match stale {
-                    Shown::Frame(k) => frame.mse(&original[k]),
-                    Shown::Scratch(resolution) => {
-                        frame.mse_with(resolution, |y| luma_sse(y, &scratch))
-                    }
-                }
-            };
-            sum.add(mse);
+        self.scorer(original, gop_size).score(received)
+    }
+
+    /// A scorer for any number of loss patterns of one clip at one GOP
+    /// size. It builds the blend table and each frame's luma range once,
+    /// and scores each distinct flag vector once.
+    pub fn scorer<'a>(&self, original: &'a [YuvFrame], gop_size: usize) -> ClipScorer<'a> {
+        ClipScorer {
+            decoder: *self,
+            original,
+            gop_size,
+            table: None,
+            ranges: vec![None; original.len()],
+            scratch: Vec::new(),
+            memo: BTreeMap::new(),
         }
-        sum.finish()
     }
 
     /// The GOP-chain walk both [`reconstruct`](Self::reconstruct) and
@@ -299,17 +269,152 @@ enum Step {
     Refreshed,
 }
 
-/// The picture on screen while [`RefreshingDecoder::score`] streams a clip.
+/// Scores loss patterns of one clip under one [`RefreshingDecoder`] and GOP
+/// size, each equal bit for bit to measuring the decoder's reconstruction.
+///
+/// Intact frames score MSE 0 without a pixel compared; a frozen frame is
+/// compared with the original frame it repeats, or with the one scratch
+/// luma plane that holds black or a blended picture. A refreshed frame
+/// blends into that plane and sums its squared error in the same pass,
+/// unless every pixel of it and of the shown picture lies within the blend
+/// table's still span of each other: then the blend changes nothing, and
+/// the frame is scored as frozen. A flag vector scored before returns its
+/// earlier [`Mos`].
+pub struct ClipScorer<'a> {
+    decoder: RefreshingDecoder,
+    original: &'a [YuvFrame],
+    gop_size: usize,
+    /// The decoder's blend table, built at the first refreshed frame.
+    table: Option<BlendTable>,
+    /// Each original frame's luma range, computed at first use.
+    ranges: Vec<Option<LumaRange>>,
+    scratch: Vec<u8>,
+    memo: BTreeMap<Vec<bool>, Mos>,
+}
+
+impl ClipScorer<'_> {
+    /// `measure_quality(original, &decoder.reconstruct(original, received,
+    /// gop_size))` for the scorer's clip, decoder and GOP size.
+    ///
+    /// # Panics
+    /// As [`RefreshingDecoder::score`].
+    pub fn score(&mut self, received: &[bool]) -> Mos {
+        if let Some(&mos) = self.memo.get(received) {
+            return mos;
+        }
+        let mos = self.measure(received);
+        self.memo.insert(received.to_vec(), mos);
+        mos
+    }
+
+    fn measure(&mut self, received: &[bool]) -> Mos {
+        let original = self.original;
+        let steps = self.decoder.steps(original.len(), received, self.gop_size);
+        assert!(!original.is_empty(), "cannot measure an empty clip");
+        let mut shown = None;
+        let mut sum = QualitySum::default();
+        for ((f, frame), step) in original.iter().enumerate().zip(steps) {
+            if step == Step::Intact {
+                shown = Some(Shown::Frame(f));
+                sum.add(0.0);
+                continue;
+            }
+            let stale = *shown.get_or_insert_with(|| {
+                frame.resolution.assert_420();
+                self.scratch.clear();
+                self.scratch.resize(frame.resolution.luma_len(), 16);
+                Shown::Scratch(frame.resolution, Some(LumaRange { lo: 16, hi: 16 }))
+            });
+            let mse = if step == Step::Refreshed && !self.still(f, stale) {
+                let resolution = match stale {
+                    Shown::Frame(k) => {
+                        self.scratch.clear();
+                        self.scratch.extend_from_slice(&original[k].y);
+                        original[k].resolution
+                    }
+                    Shown::Scratch(resolution, _) => resolution,
+                };
+                shown = Some(Shown::Scratch(resolution, None));
+                let table = self.decoder.table(&mut self.table);
+                frame.mse_with(resolution, |y| table.blend(&mut self.scratch, y))
+            } else {
+                match stale {
+                    Shown::Frame(k) => frame.mse(&original[k]),
+                    Shown::Scratch(resolution, _) => {
+                        frame.mse_with(resolution, |y| luma_sse(y, &self.scratch))
+                    }
+                }
+            };
+            sum.add(mse);
+        }
+        sum.finish()
+    }
+
+    /// Whether refreshing the picture `stale` with frame `f` leaves it
+    /// unchanged: every pair of their pixels lies within the still span.
+    fn still(&mut self, f: usize, stale: Shown) -> bool {
+        let Some(span) = self.decoder.table(&mut self.table).still_span else {
+            return false;
+        };
+        let stale = match stale {
+            Shown::Frame(k) => Some(self.range(k)),
+            Shown::Scratch(_, range) => range,
+        };
+        // The frame's range is only read once the picture's own fits.
+        stale.is_some_and(|r| r.spread() <= span && r.union(self.range(f)).spread() <= span)
+    }
+
+    fn range(&mut self, k: usize) -> LumaRange {
+        let y = &self.original[k].y;
+        *self.ranges[k].get_or_insert_with(|| LumaRange::of(y))
+    }
+}
+
+/// The picture on screen while a [`ClipScorer`] streams a clip.
 #[derive(Debug, Clone, Copy)]
 enum Shown {
     /// Frame `k` of the original clip.
     Frame(usize),
-    /// The scratch luma plane (black or blended), at this resolution.
-    Scratch(Resolution),
+    /// The scratch luma plane at this resolution, with its luma range while
+    /// it holds black (a blended picture's range is not tracked).
+    Scratch(Resolution, Option<LumaRange>),
+}
+
+/// The smallest and largest sample of a luma plane.
+#[derive(Debug, Clone, Copy)]
+struct LumaRange {
+    lo: u8,
+    hi: u8,
+}
+
+impl LumaRange {
+    fn of(y: &[u8]) -> Self {
+        LumaRange {
+            lo: y.iter().copied().min().unwrap_or(0),
+            hi: y.iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    /// The largest difference between two samples in the range.
+    fn spread(self) -> u8 {
+        self.hi - self.lo
+    }
+
+    fn union(self, other: LumaRange) -> LumaRange {
+        LumaRange {
+            lo: self.lo.min(other.lo),
+            hi: self.hi.max(other.hi),
+        }
+    }
 }
 
 /// [`blend_px`] for every `(base, target)` pair at one refresh fraction.
-struct BlendTable(Box<[[u8; 256]; 256]>);
+struct BlendTable {
+    rows: Box<[[u8; 256]; 256]>,
+    /// The largest `d` with `rows[b][t] == b` whenever `|t − b| ≤ d`, read
+    /// from the table itself (`None` if even `t == b` can move a sample).
+    still_span: Option<u8>,
+}
 
 impl BlendTable {
     fn new(w: f64) -> Self {
@@ -319,7 +424,18 @@ impl BlendTable {
                 *px = blend_px(base as u8, target as u8, w);
             }
         }
-        BlendTable(rows.into_boxed_slice().try_into().expect("256 rows"))
+        let still_span = (0..=255u8)
+            .take_while(|&d| {
+                (0..=255 - d).all(|lo| {
+                    let hi = lo + d;
+                    rows[lo as usize][hi as usize] == lo && rows[hi as usize][lo as usize] == hi
+                })
+            })
+            .last();
+        BlendTable {
+            rows: rows.into_boxed_slice().try_into().expect("256 rows"),
+            still_span,
+        }
     }
 
     /// In-place luma blend `base ← base·(1−w) + target·w`; returns the sum
@@ -327,7 +443,7 @@ impl BlendTable {
     fn blend(&self, base: &mut [u8], target: &[u8]) -> u64 {
         let mut sse = 0u64;
         for (b, &t) in base.iter_mut().zip(target) {
-            *b = self.0[*b as usize][t as usize];
+            *b = self.rows[*b as usize][t as usize];
             let d = t as i64 - *b as i64;
             sse += (d * d) as u64;
         }
@@ -541,6 +657,32 @@ mod tests {
                     assert_eq!(px[0], expected, "w={w} base={base} target={target}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn still_span_is_the_identity_region_of_the_table() {
+        for (level, span) in MotionLevel::ALL.into_iter().zip([249u8, 9, 3]) {
+            let table = BlendTable::new(level.p_refresh_fraction());
+            assert_eq!(table.still_span, Some(span), "{level}");
+            for base in 0..=255u8 {
+                for target in 0..=255u8 {
+                    let px = table.rows[base as usize][target as usize];
+                    if base.abs_diff(target) <= span {
+                        assert_eq!(px, base, "{level}: base={base} target={target}");
+                    }
+                }
+            }
+            // The span is the largest: some pair one level further apart moves.
+            let d = span + 1;
+            assert!(
+                (0..=255 - d).any(|lo| {
+                    let hi = lo + d;
+                    table.rows[lo as usize][hi as usize] != lo
+                        || table.rows[hi as usize][lo as usize] != hi
+                }),
+                "{level}"
+            );
         }
     }
 

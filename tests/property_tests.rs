@@ -459,6 +459,60 @@ proptest! {
         }
     }
 
+    /// One scorer per decoder, fed several loss patterns and then each of
+    /// them again, returns every pattern's `measure_quality` of the
+    /// reconstruction bit for bit. Some frames hold luma 0 and 255, wider
+    /// apart than any still span, so the shortcut that scores a refresh as
+    /// a freeze must decline there and blend.
+    #[test]
+    fn memoised_scorer_matches_measured_reconstruction(
+        frames in 1usize..90,
+        gop_size in 1usize..=60,
+        loss in 0.0f64..=1.0,
+        patterns in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        use thrifty::video::quality::{measure_quality, Mos, RefreshingDecoder};
+        use thrifty::video::scene::{SceneConfig, SceneGenerator};
+        use thrifty::video::{MotionLevel, Resolution};
+
+        let bits =
+            |m: Mos| [m.score, m.mean_psnr, m.psnr_of_mean_mse, m.mean_mse].map(f64::to_bits);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let motion = MotionLevel::ALL[(seed % 3) as usize];
+        let mut clip = SceneGenerator::new(SceneConfig {
+            resolution: Resolution { width: 48, height: 32 },
+            ..SceneConfig::new(motion, seed)
+        })
+        .clip(frames);
+        for frame in clip.iter_mut() {
+            if rng.gen_bool(0.3) {
+                let n = frame.y.len();
+                frame.y[rng.gen_range(0..n)] = 0;
+                frame.y[rng.gen_range(0..n)] = 255;
+            }
+        }
+        // Every I-frame lost and every P-frame received (each broken GOP is
+        // refreshed), then random patterns.
+        let mut flags = vec![(0..frames).map(|f| f % gop_size != 0).collect::<Vec<bool>>()];
+        flags.extend((0..patterns).map(|_| (0..frames).map(|_| !rng.gen_bool(loss)).collect()));
+        let fractions = MotionLevel::ALL.map(MotionLevel::p_refresh_fraction);
+        for w in [0.0, 0.5, 1.0].into_iter().chain(fractions) {
+            let decoder = RefreshingDecoder::new(w);
+            let mut scorer = decoder.scorer(&clip, gop_size);
+            for received in flags.iter().chain(flags.iter().rev()) {
+                let scored = scorer.score(received);
+                let measured =
+                    measure_quality(&clip, &decoder.reconstruct(&clip, received, gop_size));
+                prop_assert!(
+                    bits(scored) == bits(measured),
+                    "w={w}: scored {scored:?} != measured {measured:?}"
+                );
+            }
+        }
+    }
+
     /// Encrypted fraction q^(P) is a probability and monotone in α.
     #[test]
     fn encrypted_fraction_is_probability(p_i in 0.0f64..=1.0, alpha in 0.0f64..=1.0) {
