@@ -6,7 +6,7 @@
 //! 1–5 class, averaged over the clip — this is why the paper reports
 //! fractional MOS values like 1.26 in Table 2).
 
-use crate::yuv::{luma_sse, psnr_from_mse, Resolution, YuvFrame};
+use crate::yuv::{luma_sse, psnr_from_mse, Resolution, YuvFrame, SSE_CHUNK};
 use crate::{gop_position, FrameType};
 use std::collections::BTreeMap;
 
@@ -410,45 +410,67 @@ impl LumaRange {
 
 /// [`blend_px`] for every `(base, target)` pair at one refresh fraction.
 struct BlendTable {
-    rows: Box<[[u8; 256]; 256]>,
-    /// The largest `d` with `rows[b][t] == b` whenever `|t − b| ≤ d`, read
+    /// The blended sample at `(base << 8) | target`, widened to `u32` so
+    /// that [`blend`](Self::blend) compiles to 32-bit vector gathers (there
+    /// is no byte gather).
+    px: Box<[u32; 1 << 16]>,
+    /// The largest `d` with `at(b, t) == b` whenever `|t − b| ≤ d`, read
     /// from the table itself (`None` if even `t == b` can move a sample).
     still_span: Option<u8>,
 }
 
 impl BlendTable {
     fn new(w: f64) -> Self {
-        let mut rows = vec![[0u8; 256]; 256];
-        for (base, row) in rows.iter_mut().enumerate() {
-            for (target, px) in row.iter_mut().enumerate() {
-                *px = blend_px(base as u8, target as u8, w);
-            }
+        let mut px: Box<[u32; 1 << 16]> = vec![0; 1 << 16]
+            .into_boxed_slice()
+            .try_into()
+            .expect("65536 entries");
+        for (i, px) in px.iter_mut().enumerate() {
+            *px = blend_px((i >> 8) as u8, i as u8, w).into();
         }
-        let still_span = (0..=255u8)
+        let mut table = BlendTable {
+            px,
+            still_span: None,
+        };
+        table.still_span = (0..=255u8)
             .take_while(|&d| {
                 (0..=255 - d).all(|lo| {
                     let hi = lo + d;
-                    rows[lo as usize][hi as usize] == lo && rows[hi as usize][lo as usize] == hi
+                    table.at(lo, hi) == lo && table.at(hi, lo) == hi
                 })
             })
             .last();
-        BlendTable {
-            rows: rows.into_boxed_slice().try_into().expect("256 rows"),
-            still_span,
-        }
+        table
+    }
+
+    /// The blend of `base` toward `target`.
+    fn at(&self, base: u8, target: u8) -> u8 {
+        self.px[blend_index(base, target)] as u8
     }
 
     /// In-place luma blend `base ← base·(1−w) + target·w`; returns the sum
-    /// of squared differences between the blended plane and `target`.
+    /// of squared differences between the blended plane and `target`,
+    /// summed per [`SSE_CHUNK`] like [`luma_sse`].
     fn blend(&self, base: &mut [u8], target: &[u8]) -> u64 {
-        let mut sse = 0u64;
-        for (b, &t) in base.iter_mut().zip(target) {
-            *b = self.rows[*b as usize][t as usize];
-            let d = t as i64 - *b as i64;
-            sse += (d * d) as u64;
+        let mut total = 0u64;
+        for (cb, ct) in base.chunks_mut(SSE_CHUNK).zip(target.chunks(SSE_CHUNK)) {
+            let mut chunk = 0u32;
+            for (b, &t) in cb.iter_mut().zip(ct) {
+                let px = self.px[blend_index(*b, t)];
+                *b = px as u8;
+                let d = t as i32 - px as i32;
+                chunk += (d * d) as u32;
+            }
+            total += chunk as u64;
         }
-        sse
+        total
     }
+}
+
+/// Where the blend of `base` toward `target` sits in a [`BlendTable`]. The
+/// index is formed in 32 bits so that the gathers take 32-bit lanes.
+fn blend_index(base: u8, target: u8) -> usize {
+    (u32::from(base) << 8 | u32::from(target)) as usize
 }
 
 /// One refreshed luma sample: `base·(1−w) + target·w`, rounded.
@@ -667,7 +689,7 @@ mod tests {
             assert_eq!(table.still_span, Some(span), "{level}");
             for base in 0..=255u8 {
                 for target in 0..=255u8 {
-                    let px = table.rows[base as usize][target as usize];
+                    let px = table.at(base, target);
                     if base.abs_diff(target) <= span {
                         assert_eq!(px, base, "{level}: base={base} target={target}");
                     }
@@ -678,11 +700,40 @@ mod tests {
             assert!(
                 (0..=255 - d).any(|lo| {
                     let hi = lo + d;
-                    table.rows[lo as usize][hi as usize] != lo
-                        || table.rows[hi as usize][lo as usize] != hi
+                    table.at(lo, hi) != lo || table.at(hi, lo) != hi
                 }),
                 "{level}"
             );
+        }
+    }
+
+    #[test]
+    fn blend_matches_the_formula_across_chunk_boundaries() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let fractions = MotionLevel::ALL.map(MotionLevel::p_refresh_fraction);
+        let lengths = [0, 1, SSE_CHUNK - 1, SSE_CHUNK, SSE_CHUNK + 1];
+        for w in fractions.into_iter().chain([0.5, 1.0]) {
+            let table = BlendTable::new(w);
+            for len in lengths.into_iter().chain([Resolution::QCIF.luma_len()]) {
+                let mut random = || (0..len).map(|_| rng.next_u64() as u8).collect::<Vec<_>>();
+                let cases = [
+                    (random(), random()),
+                    (vec![0; len], vec![255; len]),
+                    (vec![255; len], vec![0; len]),
+                ];
+                for (base, target) in cases {
+                    let mut blended = base.clone();
+                    let sse = table.blend(&mut blended, &target);
+                    let mut expected = 0u64;
+                    for ((&b, &t), &px) in base.iter().zip(&target).zip(&blended) {
+                        assert_eq!(px, blend_px(b, t, w), "w={w} len={len} base={b} target={t}");
+                        expected += u64::from(t.abs_diff(px)).pow(2);
+                    }
+                    assert_eq!(sse, expected, "w={w} len={len}");
+                }
+            }
         }
     }
 

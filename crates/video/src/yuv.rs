@@ -165,12 +165,15 @@ pub fn clip_to_y4m(frames: &[YuvFrame], fps: u32) -> Vec<u8> {
     out
 }
 
+/// Samples per chunk of a squared-error sum. 4096 squared 8-bit differences
+/// fit a `u32` (4096 · 255² = 266,342,400 < 2³²), so a kernel sums each
+/// chunk in 32-bit lanes and widens only the chunk totals to `u64`.
+pub(crate) const SSE_CHUNK: usize = 4096;
+
 /// Sum of squared differences between two luma planes.
 pub(crate) fn luma_sse(a: &[u8], b: &[u8]) -> u64 {
-    // 4096 squared 8-bit differences fit a u32 (4096 · 255² < 2³²), so each
-    // chunk sums in 32-bit lanes and only the chunk totals widen.
     let mut total = 0u64;
-    for (ca, cb) in a.chunks(4096).zip(b.chunks(4096)) {
+    for (ca, cb) in a.chunks(SSE_CHUNK).zip(b.chunks(SSE_CHUNK)) {
         let mut chunk = 0u32;
         for (&x, &y) in ca.iter().zip(cb) {
             let d = x as i32 - y as i32;
@@ -222,6 +225,19 @@ mod tests {
         let n = Resolution::QCIF.luma_len() as f64;
         let expected = 239.0f64 * 239.0 / n;
         assert!((a.mse(&b) - expected).abs() < 1e-9);
+    }
+
+    #[test]
+    fn luma_sse_sums_the_worst_case_over_chunks() {
+        // Every difference 255, over three full chunks and a tail: each
+        // chunk's u32 sum reaches its bound exactly.
+        let len = 3 * SSE_CHUNK + 17;
+        let zeros = vec![0u8; len];
+        let full = vec![255u8; len];
+        let expected = len as u64 * 255 * 255;
+        assert_eq!(luma_sse(&zeros, &full), expected);
+        assert_eq!(luma_sse(&full, &zeros), expected);
+        assert_eq!(luma_sse(&full, &full), 0);
     }
 
     #[test]

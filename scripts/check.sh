@@ -27,6 +27,12 @@ cmp "$lint_tmp/tiers_a.json" "$lint_tmp/tiers_b.json"
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> goldens and property tests in release (the vectorised kernels reproduce and perfbench run)"
+# The dev profile builds at opt-level 1, where LLVM's loop vectoriser does
+# not run, so the tests above never execute the gather loop of the
+# intra-refresh blend or the 32-bit-lane squared-error sums; these do.
+cargo test --release -q --test golden_figures --test property_tests
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
